@@ -437,7 +437,7 @@ func measureConvergence(g1, g2 *depgraph.Graph, cfg core.Config, serial *core.Re
 	c := cfg
 	c.Workers = 1
 	conv := &convergenceReport{Epsilon: c.Epsilon}
-	c.Observer = func(ob core.RoundObservation) {
+	c.OnRound = func(ob *core.RoundBoundary) {
 		delta := 0.0
 		pruned := 0
 		for _, d := range ob.Dirs {

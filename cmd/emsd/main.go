@@ -342,7 +342,8 @@ func serve(ctx context.Context, ln net.Listener, cfg server.Config, drain time.D
 	<-errc // http.ErrServerClosed from the Serve goroutine
 	st := s.Stats()
 	cfg.Log.Info("emsd: stopped",
-		"completed", st.Completed, "failed", st.Failed, "cancelled", st.Cancelled)
+		"completed", st.Counters["jobs_completed"], "failed", st.Counters["jobs_failed"],
+		"cancelled", st.Counters["jobs_cancelled"])
 	if serr != nil {
 		return fmt.Errorf("drain: %w", serr)
 	}

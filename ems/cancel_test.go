@@ -10,7 +10,7 @@ import (
 	"time"
 
 	"repro/ems"
-	"repro/internal/core"
+	"repro/internal/failpoint"
 )
 
 // TestWithContextCancelMidComputation: cancelling the context while the
@@ -21,11 +21,12 @@ func TestWithContextCancelMidComputation(t *testing.T) {
 	started := make(chan struct{})
 	release := make(chan struct{})
 	var once sync.Once
-	restore := core.SetFailpoint(func(round int) {
+	restore := failpoint.Set(failpoint.EngineRound, func(any) failpoint.Fault {
 		once.Do(func() {
 			close(started)
 			<-release
 		})
+		return failpoint.Fault{}
 	})
 	defer restore()
 	ctx, cancel := context.WithCancel(context.Background())
@@ -51,10 +52,10 @@ func TestWithContextCancelMidComputation(t *testing.T) {
 // with ErrStopped wrapping context.DeadlineExceeded.
 func TestWithTimeoutExpires(t *testing.T) {
 	l1, l2 := paperLogs()
-	restore := core.SetFailpoint(func(round int) {
+	restore := failpoint.Set(failpoint.EngineRound, func(any) failpoint.Fault {
 		// Model a slow round so the 1ms budget is certainly exceeded by the
 		// time the round's stop check runs.
-		time.Sleep(20 * time.Millisecond)
+		return failpoint.Fault{Delay: 20 * time.Millisecond}
 	})
 	defer restore()
 	_, err := ems.Match(l1, l2, ems.WithTimeout(time.Millisecond))
@@ -119,11 +120,12 @@ func TestMatchAllContextCancelMidPair(t *testing.T) {
 	started := make(chan struct{})
 	release := make(chan struct{})
 	var once sync.Once
-	restore := core.SetFailpoint(func(round int) {
+	restore := failpoint.Set(failpoint.EngineRound, func(any) failpoint.Fault {
 		once.Do(func() {
 			close(started)
 			<-release
 		})
+		return failpoint.Fault{}
 	})
 	defer restore()
 	ctx, cancel := context.WithCancel(context.Background())
@@ -149,10 +151,11 @@ func TestMatchAllContextCancelMidPair(t *testing.T) {
 func TestMatchAllPanicContained(t *testing.T) {
 	l1, l2 := paperLogs()
 	var tripped atomic.Bool
-	restore := core.SetFailpoint(func(round int) {
+	restore := failpoint.Set(failpoint.EngineRound, func(any) failpoint.Fault {
 		if tripped.CompareAndSwap(false, true) {
 			panic("injected batch panic")
 		}
+		return failpoint.Fault{}
 	})
 	defer restore()
 	pairs := []ems.PairInput{

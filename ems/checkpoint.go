@@ -24,8 +24,10 @@ var ErrCheckpointMismatch = core.ErrCheckpointMismatch
 // EngineCheckpoint.
 var ErrCorruptCheckpoint = core.ErrCorruptCheckpoint
 
-// WithCheckpoints makes Match deliver a checkpoint to fn every `every`
-// iteration rounds (every <= 0 means every round). The hook runs
+// WithCheckpoints makes Match deliver a checkpoint to fn at every round
+// that is a multiple of `every` (every <= 0 means every round), except
+// after the final round. Rounds count from the start of the match, so a
+// resumed match keeps the cadence of the run it resumes. The hook runs
 // synchronously between rounds; the snapshot is a deep copy the hook may
 // retain or persist. Checkpointing never changes the computed numbers.
 // Composite matching drives many short computations and does not support
@@ -35,8 +37,8 @@ func WithCheckpoints(every int, fn func(*EngineCheckpoint)) Option {
 		if fn == nil {
 			return fmt.Errorf("ems: checkpoint hook must not be nil")
 		}
-		o.sim.Checkpoint = fn
-		o.sim.CheckpointEvery = every
+		o.checkpoint = fn
+		o.checkpointEvery = every
 		return nil
 	}
 }

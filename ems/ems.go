@@ -297,7 +297,7 @@ func MatchComposite(log1, log2 *Log, opts ...Option) (*Result, error) {
 	if o.resume != nil {
 		return nil, fmt.Errorf("ems: WithResume is not supported for composite matching")
 	}
-	if o.sim.Checkpoint != nil {
+	if o.checkpoint != nil {
 		return nil, fmt.Errorf("ems: WithCheckpoints is not supported for composite matching")
 	}
 	defer o.armStop()()
@@ -326,7 +326,7 @@ func MatchComposite(log1, log2 *Log, opts ...Option) (*Result, error) {
 	// The greedy merge loop runs one short similarity computation per
 	// candidate; per-round observation and per-computation spans would be
 	// noise, so only the facade-level composite span survives into it.
-	ccfg.Sim.Observer = nil
+	ccfg.Sim.OnRound = nil
 	ccfg.Sim.Span = nil
 	endComposite := o.span("composite")
 	gr, err := composite.Greedy(log1, log2, c1, c2, ccfg)

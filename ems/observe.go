@@ -32,8 +32,27 @@ func WithProgress(fn func(RoundObservation)) Option {
 		if fn == nil {
 			return fmt.Errorf("ems: progress observer must not be nil")
 		}
-		o.sim.Observer = fn
+		o.progress = fn
 		return nil
+	}
+}
+
+// armRound composes the WithProgress observer and the WithCheckpoints
+// cadence into the engine's one round-boundary hook: every boundary is
+// observed, and a checkpoint is taken at each non-final boundary whose
+// round is a multiple of the cadence.
+func (o *options) armRound() {
+	progress, save, every := o.progress, o.checkpoint, max(o.checkpointEvery, 1)
+	if progress == nil && save == nil {
+		return
+	}
+	o.sim.OnRound = func(b *core.RoundBoundary) {
+		if progress != nil {
+			progress(b.RoundObservation)
+		}
+		if save != nil && !b.Final && b.Round%every == 0 {
+			save(b.Checkpoint())
+		}
 	}
 }
 

@@ -20,6 +20,11 @@ type options struct {
 	// cancellation
 	ctx     context.Context
 	timeout time.Duration
+	// round-boundary consumers, composed into sim.OnRound by armRound:
+	// the WithProgress observer and the WithCheckpoints cadence and sink
+	progress        func(RoundObservation)
+	checkpointEvery int
+	checkpoint      func(*EngineCheckpoint)
 	// durability: non-nil resumes the iteration from a checkpoint
 	resume *EngineCheckpoint
 	// composite matching
@@ -79,6 +84,7 @@ func buildOptions(opts []Option) (*options, error) {
 	if err := o.sim.Validate(); err != nil {
 		return nil, err
 	}
+	o.armRound()
 	return o, nil
 }
 

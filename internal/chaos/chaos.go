@@ -1,7 +1,7 @@
-// Package chaos is the central fault-injection registry: one seeded,
-// declarative schedule drives every failpoint the codebase exposes —
-// engine rounds (internal/core), WAL writes, fsyncs and segment creation
-// (internal/journal), and peer HTTP exchanges (internal/cluster).
+// Package chaos drives the failpoint registry (internal/failpoint) from
+// seeded, declarative schedules: one schedule arms every point the codebase
+// exposes — engine rounds (internal/core), WAL writes, fsyncs and segment
+// creation (internal/journal), and peer HTTP exchanges (internal/cluster).
 //
 // A Schedule is a seed plus an ordered rule list. Each rule names a point,
 // a fault to inject there, and when to fire (skip the first After hits,
@@ -28,48 +28,24 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 	"sync"
 	"syscall"
 	"time"
 
-	"repro/internal/cluster"
-	"repro/internal/core"
+	"repro/internal/failpoint"
 	"repro/internal/journal"
 )
 
-// Point names an injectable fault site.
-type Point string
-
-const (
-	// EngineRound fires at the start of every similarity iteration round.
-	// Faults: "delay" (slow round), "panic" (crash the computation — the
-	// server's panic containment and checkpoint retry absorb it).
-	EngineRound Point = "engine.round"
-	// JournalWrite fires before a WAL record frame is written.
-	// Faults: "torn" (half-written frame), "enospc", "error".
-	JournalWrite Point = "journal.write"
-	// JournalSync fires before a WAL fsync. Faults: "enospc", "error".
-	JournalSync Point = "journal.sync"
-	// JournalCreate fires before a WAL segment is created (rotation,
-	// compaction). Faults: "enospc", "error".
-	JournalCreate Point = "journal.create"
-	// PeerCall fires before a peer HTTP exchange. Faults: "timeout"
-	// (transport error), "http-503", "flap" (alternating 503/pass),
-	// "delay".
-	PeerCall Point = "peer.call"
-)
-
-// Points lists every registered injection site.
-func Points() []Point {
-	return []Point{EngineRound, JournalWrite, JournalSync, JournalCreate, PeerCall}
-}
-
 // Rule arms one fault at one point.
 type Rule struct {
-	Point Point `json:"point"`
-	// Fault selects the effect; the zero value means the point's default
-	// ("error" for journal points, "delay" for engine rounds, "timeout"
-	// for peer calls).
+	Point failpoint.Point `json:"point"`
+	// Fault selects the effect among the point's faults (see faults); the
+	// zero value means the point's default. "delay" stalls (a slow round or
+	// peer), "panic" crashes the computation, "torn" half-writes a journal
+	// frame, "enospc" and "error" fail the operation, "timeout" fails a peer
+	// call as a transport error, "http-503" answers it with a 503, and
+	// "flap" alternates 503 and pass.
 	Fault string `json:"fault,omitempty"`
 	// Prob fires the rule on each eligible hit with this probability;
 	// 0 means always.
@@ -108,14 +84,7 @@ func (s *Schedule) validate() error {
 		return errors.New("chaos: schedule has no rules")
 	}
 	for i, r := range s.Rules {
-		known := false
-		for _, p := range Points() {
-			if r.Point == p {
-				known = true
-				break
-			}
-		}
-		if !known {
+		if _, known := faults[r.Point]; !known {
 			return fmt.Errorf("chaos: rule %d: unknown point %q", i, r.Point)
 		}
 		if r.Prob < 0 || r.Prob > 1 {
@@ -175,72 +144,34 @@ func (a *armedRule) flapOpen() bool {
 	return a.fired%2 == 1
 }
 
-// Activate installs the schedule into every underlying failpoint registry
-// and returns a restore function that uninstalls all of them. Only one
-// schedule should be active at a time (failpoints are process-global).
+// Activate installs the schedule into the failpoint registry, one hook per
+// point that has rules, and returns a restore function that uninstalls all
+// of them. Only one schedule should be active at a time (failpoints are
+// process-global).
 func (s *Schedule) Activate() (restore func(), err error) {
 	if err := s.validate(); err != nil {
 		return nil, err
 	}
-	armed := make([]*armedRule, len(s.Rules))
+	byPoint := map[failpoint.Point][]*armedRule{}
 	for i, r := range s.Rules {
-		armed[i] = &armedRule{Rule: r, rng: newRuleRNG(s.Seed, i)}
+		byPoint[r.Point] = append(byPoint[r.Point], &armedRule{Rule: r, rng: newRuleRNG(s.Seed, i)})
 	}
-	byPoint := func(p Point) []*armedRule {
-		var out []*armedRule
-		for _, a := range armed {
-			if a.Point == p {
-				out = append(out, a)
-			}
-		}
-		return out
-	}
-
 	var restores []func()
-	if rules := byPoint(EngineRound); len(rules) > 0 {
-		restores = append(restores, core.SetFailpoint(func(round int) {
+	for _, p := range failpoint.Points() {
+		rules := byPoint[p]
+		if len(rules) == 0 {
+			continue
+		}
+		restores = append(restores, failpoint.Set(p, func(arg any) failpoint.Fault {
 			for _, a := range rules {
-				if !a.fire() {
+				if a.Point == failpoint.PeerCall && a.Node != "" && a.Node != arg {
 					continue
 				}
-				applyEngineFault(a, round)
-				return
-			}
-		}))
-	}
-	jw, js, jc := byPoint(JournalWrite), byPoint(JournalSync), byPoint(JournalCreate)
-	if len(jw)+len(js)+len(jc) > 0 {
-		restores = append(restores, journal.SetFailpoint(func(op journal.Op) error {
-			var rules []*armedRule
-			switch op {
-			case journal.OpWrite:
-				rules = jw
-			case journal.OpSync:
-				rules = js
-			case journal.OpCreate:
-				rules = jc
-			}
-			for _, a := range rules {
-				if !a.fire() {
-					continue
+				if a.fire() {
+					return a.fault(arg)
 				}
-				return journalFault(a)
 			}
-			return nil
-		}))
-	}
-	if rules := byPoint(PeerCall); len(rules) > 0 {
-		restores = append(restores, cluster.SetFailpoint(func(node, method, path string) *cluster.PeerFault {
-			for _, a := range rules {
-				if a.Node != "" && a.Node != node {
-					continue
-				}
-				if !a.fire() {
-					continue
-				}
-				return peerFault(a)
-			}
-			return nil
+			return failpoint.Fault{}
 		}))
 	}
 	return func() {
@@ -250,92 +181,51 @@ func (s *Schedule) Activate() (restore func(), err error) {
 	}, nil
 }
 
-// faultFor validates a rule's fault name against its point.
+// faults lists the valid fault names of each point, its default first.
+var faults = map[failpoint.Point][]string{
+	failpoint.EngineRound:   {"delay", "panic"},
+	failpoint.JournalWrite:  {"error", "enospc", "torn"},
+	failpoint.JournalSync:   {"error", "enospc"},
+	failpoint.JournalCreate: {"error", "enospc"},
+	failpoint.PeerCall:      {"timeout", "http-503", "flap", "delay"},
+}
+
+// faultFor resolves a rule's fault name against its point.
 func faultFor(r Rule) (string, error) {
-	f := r.Fault
-	switch r.Point {
-	case EngineRound:
-		if f == "" {
-			f = "delay"
-		}
-		if f != "delay" && f != "panic" {
-			return "", fmt.Errorf("fault %q not valid at %s", f, r.Point)
-		}
-	case JournalWrite:
-		if f == "" {
-			f = "error"
-		}
-		if f != "error" && f != "enospc" && f != "torn" {
-			return "", fmt.Errorf("fault %q not valid at %s", f, r.Point)
-		}
-	case JournalSync, JournalCreate:
-		if f == "" {
-			f = "error"
-		}
-		if f != "error" && f != "enospc" {
-			return "", fmt.Errorf("fault %q not valid at %s", f, r.Point)
-		}
-	case PeerCall:
-		if f == "" {
-			f = "timeout"
-		}
-		if f != "timeout" && f != "http-503" && f != "flap" && f != "delay" {
-			return "", fmt.Errorf("fault %q not valid at %s", f, r.Point)
-		}
+	valid := faults[r.Point]
+	switch {
+	case r.Fault == "":
+		return valid[0], nil
+	case slices.Contains(valid, r.Fault):
+		return r.Fault, nil
 	}
-	return f, nil
+	return "", fmt.Errorf("fault %q not valid at %s", r.Fault, r.Point)
 }
 
-func applyEngineFault(a *armedRule, round int) {
-	f, _ := faultFor(a.Rule)
-	switch f {
+// fault builds the injected fault of one firing. DelayMS stalls every
+// fault; a "delay" fault stalls at least 1ms.
+func (a *armedRule) fault(arg any) failpoint.Fault {
+	f := failpoint.Fault{Delay: time.Duration(a.DelayMS) * time.Millisecond}
+	name, _ := faultFor(a.Rule)
+	switch name {
+	case "delay":
+		f.Delay = max(f.Delay, time.Millisecond)
 	case "panic":
-		panic(fmt.Sprintf("chaos: injected engine panic at round %d", round))
-	default: // delay
-		d := time.Duration(a.DelayMS) * time.Millisecond
-		if d <= 0 {
-			d = time.Millisecond
-		}
-		time.Sleep(d)
-	}
-}
-
-func journalFault(a *armedRule) error {
-	if a.DelayMS > 0 {
-		time.Sleep(time.Duration(a.DelayMS) * time.Millisecond)
-	}
-	f, _ := faultFor(a.Rule)
-	switch f {
+		f.Err = fmt.Errorf("chaos: injected engine panic at round %v", arg)
 	case "torn":
-		return journal.ErrShortWrite
+		f.Err = journal.ErrShortWrite
 	case "enospc":
-		return fmt.Errorf("%w: %w", ErrInjected, syscall.ENOSPC)
-	default:
-		return fmt.Errorf("%w at %s", ErrInjected, a.Point)
-	}
-}
-
-func peerFault(a *armedRule) *cluster.PeerFault {
-	pf := &cluster.PeerFault{Delay: time.Duration(a.DelayMS) * time.Millisecond}
-	f, _ := faultFor(a.Rule)
-	switch f {
+		f.Err = fmt.Errorf("%w: %w", ErrInjected, syscall.ENOSPC)
+	case "error":
+		f.Err = fmt.Errorf("%w at %s", ErrInjected, a.Point)
 	case "timeout":
-		pf.Err = fmt.Errorf("%w: peer timeout", ErrInjected)
+		f.Err = fmt.Errorf("%w: peer timeout", ErrInjected)
 	case "http-503":
-		pf.Status = 503
-		pf.Body = []byte(`{"error": "chaos: injected overload"}`)
+		f.Status, f.Body = 503, []byte(`{"error": "chaos: injected overload"}`)
 	case "flap":
 		if a.flapOpen() {
-			pf.Status = 503
-			pf.Body = []byte(`{"error": "chaos: flapping peer"}`)
-		}
-	case "delay":
-		if pf.Delay <= 0 {
-			pf.Delay = time.Millisecond
+			f.Status, f.Body = 503, []byte(`{"error": "chaos: flapping peer"}`)
 		}
 	}
-	if pf.Err == nil && pf.Status == 0 && pf.Delay <= 0 {
-		return nil
-	}
-	return pf
+	return f
 }

@@ -11,6 +11,7 @@ import (
 
 	"repro/ems"
 	"repro/internal/cluster"
+	"repro/internal/failpoint"
 	"repro/internal/journal"
 	"repro/internal/paperexample"
 )
@@ -55,7 +56,7 @@ func TestParseScheduleValidation(t *testing.T) {
 // TestFireAfterCountSemantics pins the arming window: After skips, Count
 // bounds, and an exhausted rule never fires again.
 func TestFireAfterCountSemantics(t *testing.T) {
-	a := &armedRule{Rule: Rule{Point: EngineRound, After: 3, Count: 2}, rng: newRuleRNG(0, 0)}
+	a := &armedRule{Rule: Rule{Point: failpoint.EngineRound, After: 3, Count: 2}, rng: newRuleRNG(0, 0)}
 	var fires []int
 	for hit := 1; hit <= 10; hit++ {
 		if a.fire() {
@@ -73,7 +74,7 @@ func TestFireAfterCountSemantics(t *testing.T) {
 func TestFireDeterministicReplay(t *testing.T) {
 	const hits = 500
 	pattern := func(seed int64, idx int) []bool {
-		a := &armedRule{Rule: Rule{Point: EngineRound, Prob: 0.5}, rng: newRuleRNG(seed, idx)}
+		a := &armedRule{Rule: Rule{Point: failpoint.EngineRound, Prob: 0.5}, rng: newRuleRNG(seed, idx)}
 		out := make([]bool, hits)
 		for i := range out {
 			out[i] = a.fire()
@@ -121,9 +122,9 @@ func TestActivateJournalFaultsReplayIdentically(t *testing.T) {
 	sched := &Schedule{
 		Seed: 2014,
 		Rules: []Rule{
-			{Point: JournalWrite, Fault: "enospc", After: 2, Count: 1},
-			{Point: JournalWrite, Fault: "torn", After: 6, Count: 1},
-			{Point: JournalSync, Fault: "error", Prob: 0.3},
+			{Point: failpoint.JournalWrite, Fault: "enospc", After: 2, Count: 1},
+			{Point: failpoint.JournalWrite, Fault: "torn", After: 6, Count: 1},
+			{Point: failpoint.JournalSync, Fault: "error", Prob: 0.3},
 		},
 	}
 	const appends = 24
@@ -199,8 +200,8 @@ func TestActivatePeerFaults(t *testing.T) {
 	sched := &Schedule{
 		Seed: 7,
 		Rules: []Rule{
-			{Point: PeerCall, Fault: "http-503", Node: "node-b", Count: 1},
-			{Point: PeerCall, Fault: "flap", Node: "node-c"},
+			{Point: failpoint.PeerCall, Fault: "http-503", Node: "node-b", Count: 1},
+			{Point: failpoint.PeerCall, Fault: "flap", Node: "node-c"},
 		},
 	}
 	restore, err := sched.Activate()
@@ -250,7 +251,7 @@ func TestActivateEngineDelayPreservesResults(t *testing.T) {
 
 	sched := &Schedule{
 		Seed:  2014,
-		Rules: []Rule{{Point: EngineRound, Fault: "delay", DelayMS: 1, Prob: 0.5}},
+		Rules: []Rule{{Point: failpoint.EngineRound, Fault: "delay", DelayMS: 1, Prob: 0.5}},
 	}
 	restore, err := sched.Activate()
 	if err != nil {

@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"repro/ems"
+	"repro/internal/failpoint"
 	"repro/internal/obs"
 )
 
@@ -122,10 +123,8 @@ func (c *Client) Do(ctx context.Context, method, path string, body []byte) (int,
 		hop.SetAttr("op", method+" "+path)
 		defer hop.End()
 	}
-	if pf := firePeerPoint(c.node.ID, method, path); pf != nil {
-		if code, b, err, injected := c.applyFault(ctx, method, path, pf); injected {
-			return code, b, err
-		}
+	if code, b, err, injected := c.applyFault(ctx, method, path); injected {
+		return code, b, err
 	}
 	var rd io.Reader
 	if body != nil {
@@ -164,10 +163,12 @@ func (c *Client) Do(ctx context.Context, method, path string, body []byte) (int,
 	return resp.StatusCode, b, nil
 }
 
-// applyFault realizes an injected PeerFault: the delay always applies;
-// injected reports whether the fault also decided the exchange's outcome
-// (a delay-only fault lets the real exchange proceed afterwards).
-func (c *Client) applyFault(ctx context.Context, method, path string, pf *PeerFault) (int, []byte, error, bool) {
+// applyFault fires the peer.call failpoint and realizes its fault: the
+// delay always applies; injected reports whether the fault also decided the
+// exchange's outcome (a delay-only fault lets the real exchange proceed
+// afterwards).
+func (c *Client) applyFault(ctx context.Context, method, path string) (int, []byte, error, bool) {
+	pf := failpoint.Fire(failpoint.PeerCall, c.node.ID)
 	op := method + " " + path
 	if pf.Delay > 0 {
 		t := time.NewTimer(pf.Delay)

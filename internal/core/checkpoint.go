@@ -342,7 +342,7 @@ func (c *Computation) Fingerprint() uint64 {
 
 // checkpointNow snapshots the mutable state of every direction engine. It
 // must only be called between rounds (no engine goroutine running), which
-// the checkpointed Run loop guarantees.
+// the lockstep Run loop guarantees.
 func (c *Computation) checkpointNow() *Checkpoint {
 	cp := &Checkpoint{Fingerprint: c.Fingerprint()}
 	for _, e := range c.engines() {
@@ -444,49 +444,31 @@ func (c *Computation) Restore(cp *Checkpoint) error {
 }
 
 // runLockstep drives the computation in lockstep rounds on behalf of the
-// Checkpoint and Observer hooks: the Observer sees every round boundary,
-// the Checkpoint hook a consistent snapshot every CheckpointEvery rounds.
-// Lockstep is required so both direction engines are at a round boundary
-// when state is read; rounds are Jacobi updates, so the lockstep schedule
-// produces exactly the same numbers as the concurrent one.
+// OnRound hook, which sees every round boundary. Lockstep is required so
+// both direction engines are at a round boundary when state is read; rounds
+// are Jacobi updates, so the lockstep schedule produces exactly the same
+// numbers as the concurrent one.
 func (c *Computation) runLockstep() error {
 	defer c.span("iterate:lockstep")()
-	every := c.cfg.CheckpointEvery
-	if every <= 0 {
-		every = 1
-	}
-	steps := 0
-	for {
-		done, err := c.Step()
-		if err != nil {
+	for done := false; !done; {
+		var err error
+		if done, err = c.Step(); err != nil {
 			return err
 		}
-		if c.cfg.Observer != nil {
-			c.observeRound()
-		}
-		if done {
-			break
-		}
-		if c.cfg.Checkpoint != nil {
-			if steps++; steps%every == 0 {
-				c.cfg.Checkpoint(c.checkpointNow())
-			}
-		}
+		c.roundBoundary(done)
 	}
 	if err := c.Finish(); err != nil {
 		return err
 	}
 	// An estimation pass (explicit EstimateI or fast-path cutover) moves the
-	// matrices after the last observed round; without a final observation a
-	// progress consumer would see the run stall mid-flight and then complete.
-	// Emit one synthetic round boundary carrying Estimated (and, on the fast
-	// path, the certified ErrorBound).
-	if c.cfg.Observer != nil {
-		for _, e := range c.engines() {
-			if e.estimated {
-				c.observeRound()
-				break
-			}
+	// matrices after the last round; without a final boundary a progress
+	// consumer would see the run stall mid-flight and then complete. Emit
+	// one synthetic boundary carrying Estimated (and, on the fast path, the
+	// certified ErrorBound).
+	for _, e := range c.engines() {
+		if e.estimated {
+			c.roundBoundary(true)
+			break
 		}
 	}
 	return nil

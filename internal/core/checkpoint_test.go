@@ -41,8 +41,7 @@ func TestCheckpointedRunBitIdenticalAndResumable(t *testing.T) {
 			// the plain (concurrent) run.
 			var cps []*Checkpoint
 			ccfg := cfg
-			ccfg.CheckpointEvery = 2
-			ccfg.Checkpoint = func(cp *Checkpoint) { cps = append(cps, cp) }
+			ccfg.OnRound = checkpointEvery(2, func(cp *Checkpoint) { cps = append(cps, cp) })
 			checkpointed, err := Compute(g1, g2, ccfg)
 			if err != nil {
 				t.Fatalf("checkpointed Compute: %v", err)
@@ -107,22 +106,57 @@ func testLabelSim(a, b string) float64 {
 	return 0.25
 }
 
+// checkpointEvery returns an OnRound hook handing fn a checkpoint at every
+// non-final boundary whose round is a multiple of every — the cadence
+// ems.WithCheckpoints composes.
+func checkpointEvery(every int, fn func(*Checkpoint)) func(*RoundBoundary) {
+	return func(b *RoundBoundary) {
+		if !b.Final && b.Round%every == 0 {
+			fn(b.Checkpoint())
+		}
+	}
+}
+
+// TestCheckpointCadence pins the round-boundary contract checkpoint cadence
+// is built on: boundaries arrive once per round in order, a checkpoint taken
+// at a boundary carries that boundary's round, and only the last boundary
+// is Final.
 func TestCheckpointCadence(t *testing.T) {
 	g1, g2 := procgenGraphs(t, 11, 10, 30)
 	cfg := DefaultConfig()
 	cfg.Epsilon = 1e-12 // force many rounds
 	var rounds []int
-	cfg.CheckpointEvery = 3
-	cfg.Checkpoint = func(cp *Checkpoint) { rounds = append(rounds, cp.Round()) }
+	finals := 0
+	cfg.OnRound = func(b *RoundBoundary) {
+		if b.Final {
+			finals++
+		}
+		if b.Round != len(rounds)+1 {
+			t.Fatalf("boundary %d reports round %d", len(rounds)+1, b.Round)
+		}
+		if got := b.Checkpoint().Round(); got != b.Round {
+			t.Fatalf("checkpoint at boundary %d carries round %d", b.Round, got)
+		}
+		rounds = append(rounds, b.Round)
+	}
+	res, err := Compute(g1, g2, cfg)
+	if err != nil {
+		t.Fatalf("Compute: %v", err)
+	}
+	if len(rounds) != res.Rounds || finals != 1 {
+		t.Fatalf("%d boundaries (%d final) for %d rounds, want one per round and one final", len(rounds), finals, res.Rounds)
+	}
+	var cadence []int
+	cfg.OnRound = checkpointEvery(3, func(cp *Checkpoint) { cadence = append(cadence, cp.Round()) })
 	if _, err := Compute(g1, g2, cfg); err != nil {
 		t.Fatalf("Compute: %v", err)
 	}
-	if len(rounds) == 0 {
+	if len(cadence) == 0 {
 		t.Fatalf("no checkpoints for a long run")
 	}
-	for i, r := range rounds {
+	for i, r := range cadence {
 		if want := 3 * (i + 1); r != want {
-			t.Fatalf("checkpoint %d taken at round %d, want %d (all: %v)", i, r, want, rounds)
+			t.Fatalf("checkpoint %d taken at round %d, want %d (all: %v)", i, r, want, cadence)
 		}
 	}
 }
@@ -131,12 +165,11 @@ func TestCheckpointUnmarshalRejectsCorruption(t *testing.T) {
 	g1, g2 := procgenGraphs(t, 5, 8, 20)
 	cfg := DefaultConfig()
 	var cp *Checkpoint
-	cfg.CheckpointEvery = 1
-	cfg.Checkpoint = func(c *Checkpoint) {
+	cfg.OnRound = checkpointEvery(1, func(c *Checkpoint) {
 		if cp == nil {
 			cp = c
 		}
-	}
+	})
 	if _, err := Compute(g1, g2, cfg); err != nil {
 		t.Fatalf("Compute: %v", err)
 	}
@@ -176,12 +209,11 @@ func TestRestoreRejectsMismatches(t *testing.T) {
 	cfg := DefaultConfig()
 	var cp *Checkpoint
 	ccfg := cfg
-	ccfg.CheckpointEvery = 1
-	ccfg.Checkpoint = func(c *Checkpoint) {
+	ccfg.OnRound = checkpointEvery(1, func(c *Checkpoint) {
 		if cp == nil {
 			cp = c
 		}
-	}
+	})
 	if _, err := Compute(g1, g2, ccfg); err != nil {
 		t.Fatalf("Compute: %v", err)
 	}

@@ -170,13 +170,15 @@ func NewComputation(g1, g2 *depgraph.Graph, cfg Config, seed *Seed) (*Computatio
 	var err error
 	switch cfg.Direction {
 	case Forward:
-		c.fwd, err = newDirEngine(g1, g2, cfg, pool)
+		c.fwd, err = newDirEngine(g1, g2, cfg, pool, nil)
 	case Backward:
-		c.fwd, err = newDirEngine(g1.Reverse(), g2.Reverse(), cfg, pool)
+		c.fwd, err = newDirEngine(g1.Reverse(), g2.Reverse(), cfg, pool, nil)
 	case Both:
-		c.fwd, err = newDirEngine(g1, g2, cfg, pool)
+		// The backward engine shares the forward engine's label matrix: the
+		// reversed graphs keep the names in the same order.
+		c.fwd, err = newDirEngine(g1, g2, cfg, pool, nil)
 		if err == nil {
-			c.bwd, err = newDirEngine(g1.Reverse(), g2.Reverse(), cfg, pool)
+			c.bwd, err = newDirEngine(g1.Reverse(), g2.Reverse(), cfg, pool, c.fwd.lab)
 		}
 	default:
 		err = fmt.Errorf("core: invalid direction %v", cfg.Direction)
@@ -265,12 +267,11 @@ func (c *Computation) Finish() error {
 // Direction == Both they run concurrently. A panic on a direction goroutine
 // is re-raised here as an *EnginePanic so callers can contain it; a stop
 // requested through Config.Stop surfaces as an error wrapping ErrStopped.
-// When Config.Checkpoint or Config.Observer is set, Run instead drives the
-// directions in lockstep so it can hand out consistent round snapshots and
-// observations — the numbers are identical either way (Jacobi rounds depend
-// only on the previous matrix).
+// When Config.OnRound is set, Run instead drives the directions in lockstep
+// so it can hand out consistent round boundaries — the numbers are identical
+// either way (Jacobi rounds depend only on the previous matrix).
 func (c *Computation) Run() error {
-	if c.cfg.Checkpoint != nil || c.cfg.Observer != nil {
+	if c.cfg.OnRound != nil {
 		return c.runLockstep()
 	}
 	engines := c.engines()

@@ -124,26 +124,17 @@ type Config struct {
 	// never alters the numbers of runs it does not abort: uncancelled
 	// computations stay bit-identical at every worker count.
 	Stop func() error
-	// Checkpoint, when non-nil, makes Run drive the direction engines in
-	// lockstep and deliver a consistent snapshot of the iteration state every
-	// CheckpointEvery rounds. The hook runs synchronously between rounds on
-	// the Run goroutine; the snapshot is a deep copy the hook may retain,
-	// serialize or persist. A computation restored from such a snapshot (see
-	// Computation.Restore) finishes with bit-identical output. Like Stop and
-	// Workers, the hook never changes the computed numbers.
-	Checkpoint func(*Checkpoint)
-	// CheckpointEvery is the number of iteration rounds between Checkpoint
-	// calls; values <= 0 mean every round. Ignored when Checkpoint is nil.
-	CheckpointEvery int
-	// Observer, when non-nil, receives a RoundObservation after every
-	// iteration round of Run: per-direction delta, evaluation count and
-	// pruned-pair count — the live view of the paper's §5 convergence and
-	// evaluation-savings behavior. Like Checkpoint it forces Run to drive
-	// the direction engines in lockstep (so every observation is a
-	// consistent round boundary across directions) and runs synchronously on
-	// the Run goroutine; nil costs nothing and armed it never changes the
-	// computed numbers. Stepwise drivers (composite matching) bypass it.
-	Observer func(RoundObservation)
+	// OnRound, when non-nil, is the round-boundary hook: Run calls it after
+	// every iteration round and, when an estimation pass moved the matrices
+	// after the last round, once more for that final state. The boundary
+	// carries the round's observation (the live view of the paper's §5
+	// convergence and evaluation savings) and takes a deep-copied Checkpoint
+	// on demand; checkpoint cadence is the caller's choice. Arming it makes
+	// Run drive the direction engines in lockstep, so every boundary is
+	// consistent across directions, and the hook runs synchronously on the
+	// Run goroutine. Like Stop and Workers it never changes the computed
+	// numbers. Stepwise drivers (composite matching) bypass it.
+	OnRound func(*RoundBoundary)
 	// Span, when non-nil, is the tracing hook: the engine calls it at the
 	// start of a named internal phase (label-matrix build, agreement-cache
 	// build, each matching direction) and invokes the returned func at the

@@ -31,8 +31,9 @@ type CostEstimate struct {
 // DirCost itemizes one direction engine's predicted footprint.
 type DirCost struct {
 	N1, N2 int
-	// MatrixBytes covers cur+prev (tile-padded when Tiled) plus the label
-	// matrix, freeze map, and fast-path small map.
+	// MatrixBytes covers cur+prev (tile-padded when Tiled) plus the freeze
+	// map, the fast-path small map, and — for the first direction only, the
+	// second shares it — the label matrix.
 	MatrixBytes int64
 	// AgreeBytes is the agreement cache: the factor table plus the fIdx1 /
 	// aOff2 index arrays, zero when the table would exceed agreeCacheLimit
@@ -57,13 +58,13 @@ func EstimateCost(g1, g2 *depgraph.Graph, cfg Config) CostEstimate {
 	var ce CostEstimate
 	switch cfg.Direction {
 	case Forward:
-		ce.Directions = []DirCost{estimateDir(g1, g2, cfg, false)}
+		ce.Directions = []DirCost{estimateDir(g1, g2, cfg, false, true)}
 	case Backward:
-		ce.Directions = []DirCost{estimateDir(g1, g2, cfg, true)}
-	default: // Both
+		ce.Directions = []DirCost{estimateDir(g1, g2, cfg, true, true)}
+	default: // Both: the backward engine shares the forward label matrix
 		ce.Directions = []DirCost{
-			estimateDir(g1, g2, cfg, false),
-			estimateDir(g1, g2, cfg, true),
+			estimateDir(g1, g2, cfg, false, true),
+			estimateDir(g1, g2, cfg, true, false),
 		}
 	}
 	for _, d := range ce.Directions {
@@ -76,9 +77,10 @@ func EstimateCost(g1, g2 *depgraph.Graph, cfg Config) CostEstimate {
 
 // estimateDir models one dirEngine. reversed mirrors Computation's Both
 // wiring: the backward engine runs over Reverse()d graphs, so its in-edge
-// structures are the forward graphs' out-edges. The math reads straight off
+// structures are the forward graphs' out-edges; ownsLab is false for the
+// engine that shares the other's label matrix. The math reads straight off
 // newDirEngine/buildLayout/buildAgreementCache; keep them in sync.
-func estimateDir(g1, g2 *depgraph.Graph, cfg Config, reversed bool) DirCost {
+func estimateDir(g1, g2 *depgraph.Graph, cfg Config, reversed, ownsLab bool) DirCost {
 	n1, n2 := g1.N(), g2.N()
 	d := DirCost{N1: n1, N2: n2}
 	cells := int64(n1) * int64(n2)
@@ -91,8 +93,11 @@ func estimateDir(g1, g2 *depgraph.Graph, cfg Config, reversed bool) DirCost {
 		matLen = bands * tilesPerBand << (2 * tileShift)
 	}
 	d.MatrixBytes = 2 * 8 * matLen
-	// lab (allocated regardless of Alpha) + frozen.
-	d.MatrixBytes += 8*cells + cells
+	// lab (allocated regardless of Alpha, once per Computation) + frozen.
+	d.MatrixBytes += cells
+	if ownsLab {
+		d.MatrixBytes += 8 * cells
+	}
 	// small: fast path only.
 	if cfg.FastPath && cfg.EstimateI < 0 {
 		d.MatrixBytes += cells

@@ -177,3 +177,37 @@ func TestEstimateCostMonotonicity(t *testing.T) {
 		t.Errorf("EstimateCost performed %.0f allocations, want a cheap estimate", estAlloc)
 	}
 }
+
+// TestLabelMatrixBuiltOnce: the label matrix is a property of the two name
+// lists, which Graph.Reverse keeps in order, so a Direction Both computation
+// calls the label similarity exactly once per real event pair — not once per
+// direction — and the cost model counts the matrix once.
+func TestLabelMatrixBuiltOnce(t *testing.T) {
+	g1, g2 := procgenGraphs(t, 3, 12, 40)
+	for _, dir := range []Direction{Forward, Backward, Both} {
+		var calls atomic.Int64
+		cfg := DefaultConfig()
+		cfg.Direction = dir
+		cfg.Alpha = 0.7
+		cfg.Workers = 4
+		cfg.Labels = func(a, b string) float64 {
+			calls.Add(1)
+			return testLabelSim(a, b)
+		}
+		if _, err := Compute(g1, g2, cfg); err != nil {
+			t.Fatal(err)
+		}
+		if want := int64(g1.RealCount() * g2.RealCount()); calls.Load() != want {
+			t.Errorf("%v: %d label calls, want n1*n2 = %d", dir, calls.Load(), want)
+		}
+	}
+	cfg := DefaultConfig()
+	both := EstimateCost(g1, g2, cfg)
+	cfg.Direction = Forward
+	fwd := EstimateCost(g1, g2, cfg)
+	labBytes := 8 * int64(g1.N()) * int64(g2.N())
+	if both.Directions[1].MatrixBytes != fwd.Directions[0].MatrixBytes-labBytes {
+		t.Errorf("backward direction matrix bytes %d, want the forward's %d minus the shared %d-byte label matrix",
+			both.Directions[1].MatrixBytes, fwd.Directions[0].MatrixBytes, labBytes)
+	}
+}

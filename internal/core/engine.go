@@ -4,8 +4,10 @@ import (
 	"fmt"
 	"math"
 	"sync/atomic"
+	"time"
 
 	"repro/internal/depgraph"
+	"repro/internal/failpoint"
 )
 
 // dirEngine computes the forward similarity of Definition 2 for one
@@ -18,7 +20,9 @@ type dirEngine struct {
 
 	n1, n2 int
 	// lab[i*n2+j] is the label similarity of vertex i of g1 and j of g2
-	// (zero rows/columns for the artificial vertices).
+	// (zero rows/columns for the artificial vertices). Read-only once built:
+	// Graph.Reverse keeps names and their order, so both direction engines
+	// of a Computation share one matrix.
 	lab []float64
 	// l1, l2 are the longest distances l(v) from the artificial event.
 	l1, l2 []int
@@ -88,7 +92,7 @@ type dirEngine struct {
 	converged bool
 	estimated bool
 	// roundEvals and roundPruned are the latest round's evaluation and
-	// prune-skip counts, surfaced through Config.Observer; totalPruned
+	// prune-skip counts, surfaced through Config.OnRound; totalPruned
 	// accumulates the skips. activePairs caches the non-frozen pair count
 	// (computed lazily at the first step, after seeding settles): every
 	// active pair is either evaluated or prune-skipped in a round, so
@@ -152,8 +156,9 @@ const (
 
 // newDirEngine builds the per-direction engine. Both graphs must contain the
 // artificial event. pool may be nil (serial) and is shared between the two
-// direction engines of a Computation.
-func newDirEngine(g1, g2 *depgraph.Graph, cfg Config, pool *rowPool) (*dirEngine, error) {
+// direction engines of a Computation, as is lab: nil builds the label
+// matrix, non-nil is the other engine's matrix over the same names.
+func newDirEngine(g1, g2 *depgraph.Graph, cfg Config, pool *rowPool, lab []float64) (*dirEngine, error) {
 	if !g1.HasArtificial || !g2.HasArtificial {
 		return nil, fmt.Errorf("core: similarity requires graphs with the artificial event (use Graph.AddArtificial)")
 	}
@@ -179,21 +184,9 @@ func newDirEngine(g1, g2 *depgraph.Graph, cfg Config, pool *rowPool) (*dirEngine
 	e.deltaW = make([]float64, e.workers)
 	e.evalW = make([]int, e.workers)
 	e.buildLayout()
-	e.lab = make([]float64, e.n1*e.n2)
-	sim := cfg.labels()
-	if cfg.Alpha < 1 {
-		endSpan := e.span("label-matrix")
-		e.forRows(1, e.n1, func(w, lo, hi int) {
-			if e.checkStop() != nil {
-				return
-			}
-			for i := lo; i < hi; i++ {
-				for j := 1; j < e.n2; j++ {
-					e.lab[i*e.n2+j] = sim(g1.Names[i], g2.Names[j])
-				}
-			}
-		})
-		endSpan()
+	e.lab = lab
+	if lab == nil {
+		e.buildLabels()
 	}
 	e.cur = make([]float64, e.matLen)
 	e.prev = make([]float64, e.matLen)
@@ -232,6 +225,27 @@ func newDirEngine(g1, g2 *depgraph.Graph, cfg Config, pool *rowPool) (*dirEngine
 		return nil, err
 	}
 	return e, nil
+}
+
+// buildLabels fills the label matrix S^L over the real vertex pairs; with
+// Alpha = 1 labels are ignored and the matrix stays zero.
+func (e *dirEngine) buildLabels() {
+	e.lab = make([]float64, e.n1*e.n2)
+	if e.cfg.Alpha >= 1 {
+		return
+	}
+	sim := e.cfg.labels()
+	defer e.span("label-matrix")()
+	e.forRows(1, e.n1, func(w, lo, hi int) {
+		if e.checkStop() != nil {
+			return
+		}
+		for i := lo; i < hi; i++ {
+			for j := 1; j < e.n2; j++ {
+				e.lab[i*e.n2+j] = sim(e.g1.Names[i], e.g2.Names[j])
+			}
+		}
+	})
 }
 
 // buildLayout computes the offset tables mapping the logical cell (i,j) to
@@ -581,7 +595,11 @@ func (e *dirEngine) oneSides(v1, v2, w int) (s12, s21 float64) {
 // count.
 func (e *dirEngine) step() (float64, error) {
 	e.round++
-	fireFailpoint(e.round)
+	f := failpoint.Fire(failpoint.EngineRound, e.round)
+	time.Sleep(f.Delay) // a zero delay returns at once
+	if f.Err != nil {
+		panic(f.Err)
+	}
 	if err := e.checkStop(); err != nil {
 		return 0, err
 	}

@@ -40,11 +40,11 @@ func TestFastPathConvergenceRegression(t *testing.T) {
 		roundPruned int
 		lastObs     *RoundObservation
 	)
-	cfg.Observer = func(ob RoundObservation) {
-		for _, d := range ob.Dirs {
+	cfg.OnRound = func(b *RoundBoundary) {
+		for _, d := range b.Dirs {
 			roundPruned += d.RoundPruned
 		}
-		lastObs = &ob
+		lastObs = &b.RoundObservation
 	}
 	fast, err := Compute(g1, g2, cfg)
 	if err != nil {
@@ -292,10 +292,9 @@ func TestFastPathPrefilterHopeless(t *testing.T) {
 	cfg := fastConfig()
 	cfg.Direction = Forward
 	var first *RoundObservation
-	cfg.Observer = func(ob RoundObservation) {
+	cfg.OnRound = func(b *RoundBoundary) {
 		if first == nil {
-			o := ob
-			first = &o
+			first = &b.RoundObservation
 		}
 	}
 	fast, err := Compute(g1, g2, cfg)

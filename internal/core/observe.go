@@ -1,7 +1,7 @@
 package core
 
 // DirRoundStats is one direction engine's state at a round boundary, as
-// delivered to Config.Observer. Counters are engine-lifetime totals except
+// delivered to Config.OnRound. Counters are engine-lifetime totals except
 // RoundEvals/RoundPruned, which cover only the latest round.
 type DirRoundStats struct {
 	// Direction identifies the engine (Forward or Backward; a Both
@@ -34,8 +34,8 @@ type DirRoundStats struct {
 	ErrorBound float64
 }
 
-// RoundObservation is delivered to Config.Observer after every lockstep
-// round: one entry per direction engine, in Forward, Backward order. A
+// RoundObservation is the progress view of one lockstep round boundary:
+// one entry per direction engine, in Forward, Backward order. A
 // direction that converged in an earlier round keeps reporting its final
 // state with Converged set.
 type RoundObservation struct {
@@ -53,14 +53,31 @@ func (c *Computation) directions() []Direction {
 	return []Direction{c.cfg.Direction}
 }
 
-// observeRound assembles and delivers one RoundObservation. Called from the
+// RoundBoundary is one consistent round boundary of a lockstep Run, as
+// delivered to Config.OnRound. It is valid only during the call.
+type RoundBoundary struct {
+	RoundObservation
+	// Final reports that no iteration round follows: the iteration has
+	// finished, or this is the boundary after the estimation pass. A
+	// checkpoint taken here could only resume into a finished run.
+	Final bool
+	c     *Computation
+}
+
+// Checkpoint returns a deep copy of the iteration state at this boundary,
+// which the caller may retain, serialize or persist; a computation restored
+// from it (see Computation.Restore) finishes with bit-identical output.
+func (b *RoundBoundary) Checkpoint() *Checkpoint { return b.c.checkpointNow() }
+
+// roundBoundary assembles and delivers one RoundBoundary. Called from the
 // lockstep Run loop only, so no engine goroutine is mutating state.
-func (c *Computation) observeRound() {
+func (c *Computation) roundBoundary(final bool) {
 	engines := c.engines()
 	dirs := c.directions()
-	ob := RoundObservation{Dirs: make([]DirRoundStats, len(engines))}
+	b := RoundBoundary{Final: final, c: c}
+	b.Dirs = make([]DirRoundStats, len(engines))
 	for i, e := range engines {
-		ob.Dirs[i] = DirRoundStats{
+		b.Dirs[i] = DirRoundStats{
 			Direction:   dirs[i],
 			Round:       e.round,
 			Delta:       e.lastDelta,
@@ -72,9 +89,7 @@ func (c *Computation) observeRound() {
 			Estimated:   e.estimated,
 			ErrorBound:  e.errorBound,
 		}
-		if e.round > ob.Round {
-			ob.Round = e.round
-		}
+		b.Round = max(b.Round, e.round)
 	}
-	c.cfg.Observer(ob)
+	c.cfg.OnRound(&b)
 }

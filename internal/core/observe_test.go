@@ -6,7 +6,7 @@ import (
 )
 
 // TestObserverBitIdentical is the observer's determinism contract: arming
-// Config.Observer (which switches Run to the lockstep schedule) must not
+// Config.OnRound (which switches Run to the lockstep schedule) must not
 // change a single bit of the output at any worker count, with or without
 // pruning.
 func TestObserverBitIdentical(t *testing.T) {
@@ -22,7 +22,7 @@ func TestObserverBitIdentical(t *testing.T) {
 			}
 			observed := cfg
 			rounds := 0
-			observed.Observer = func(ob RoundObservation) { rounds++ }
+			observed.OnRound = func(*RoundBoundary) { rounds++ }
 			got, err := Compute(g1, g2, observed)
 			if err != nil {
 				t.Fatalf("observed: %v", err)
@@ -55,7 +55,7 @@ func TestObserverRoundStats(t *testing.T) {
 		cfg := DefaultConfig()
 		cfg.Prune = prune
 		var obs []RoundObservation
-		cfg.Observer = func(ob RoundObservation) { obs = append(obs, ob) }
+		cfg.OnRound = func(b *RoundBoundary) { obs = append(obs, b.RoundObservation) }
 		res, err := Compute(g1, g2, cfg)
 		if err != nil {
 			t.Fatal(err)
@@ -108,15 +108,17 @@ func TestObserverRoundStats(t *testing.T) {
 	}
 }
 
-// TestObserverWithCheckpoint runs both lockstep hooks together: the cadence
-// contract of Checkpoint must survive the Observer being armed too.
+// TestObserverWithCheckpoint observes and checkpoints from the one round
+// hook: every round is observed and the checkpoint cadence still holds.
 func TestObserverWithCheckpoint(t *testing.T) {
 	g1, g2 := procgenGraphs(t, 7, 12, 40)
 	cfg := DefaultConfig()
-	cfg.CheckpointEvery = 2
 	var ckps, rounds int
-	cfg.Checkpoint = func(cp *Checkpoint) { ckps++ }
-	cfg.Observer = func(ob RoundObservation) { rounds++ }
+	save := checkpointEvery(2, func(*Checkpoint) { ckps++ })
+	cfg.OnRound = func(b *RoundBoundary) {
+		rounds++
+		save(b)
+	}
 	res, err := Compute(g1, g2, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -130,7 +132,8 @@ func TestObserverWithCheckpoint(t *testing.T) {
 }
 
 // TestSpanHook exercises Config.Span: the engine must open and close spans
-// for the agreement-cache builds and the direction runs, from whatever
+// for the label-matrix build (one per computation, shared by both
+// directions), the agreement-cache builds and the direction runs, from whatever
 // goroutine — the hook is invoked concurrently, which -race verifies.
 func TestSpanHook(t *testing.T) {
 	g1, g2 := procgenGraphs(t, 5, 10, 30)
@@ -169,11 +172,11 @@ func TestSpanHook(t *testing.T) {
 	for name, n := range opened {
 		total += n
 		switch name {
-		case "agreement-cache", "label-matrix":
+		case "agreement-cache":
 			if n != 2 {
 				t.Errorf("span %q opened %d times, want 2 (one per direction engine)", name, n)
 			}
-		case "direction:forward", "direction:backward":
+		case "label-matrix", "direction:forward", "direction:backward":
 			if n != 1 {
 				t.Errorf("span %q opened %d times, want 1", name, n)
 			}

@@ -5,6 +5,8 @@ import (
 	"errors"
 	"sync/atomic"
 	"testing"
+
+	"repro/internal/failpoint"
 )
 
 // TestStopHookAbortsCompute: a hook that trips mid-computation aborts the
@@ -132,10 +134,11 @@ func TestGoldenWithStopHook(t *testing.T) {
 // containment builds on.
 func TestFailpointPanicPropagates(t *testing.T) {
 	g1, g2 := procgenGraphs(t, 5, 15, 50)
-	restore := SetFailpoint(func(round int) {
-		if round == 2 {
+	restore := failpoint.Set(failpoint.EngineRound, func(arg any) failpoint.Fault {
+		if arg.(int) == 2 {
 			panic("injected failure")
 		}
+		return failpoint.Fault{}
 	})
 	defer restore()
 	for _, workers := range []int{1, 4} {

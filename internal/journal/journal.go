@@ -33,6 +33,9 @@ import (
 	"strconv"
 	"strings"
 	"sync"
+	"time"
+
+	"repro/internal/failpoint"
 )
 
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
@@ -47,6 +50,19 @@ const (
 
 // ErrClosed is returned by operations on a closed journal.
 var ErrClosed = errors.New("journal: closed")
+
+// ErrShortWrite, injected as the error of a journal.write failpoint, makes
+// Append write only half of the frame bytes before failing — a
+// deterministic torn tail, as left behind by a crash mid-write.
+var ErrShortWrite = errors.New("journal: injected short write")
+
+// fire is the journal's one failpoint site: it stalls for the injected
+// delay and returns the injected error, if any.
+func fire(p failpoint.Point) error {
+	f := failpoint.Fire(p, nil)
+	time.Sleep(f.Delay) // a zero delay returns at once
+	return f.Err
+}
 
 // Options configures a journal. The zero value is production-ready.
 type Options struct {
@@ -281,7 +297,7 @@ func (j *Journal) Append(recs ...[]byte) error {
 		buf = append(buf, hdr[:]...)
 		buf = append(buf, r...)
 	}
-	if err := firePoint(OpWrite); err != nil {
+	if err := fire(failpoint.JournalWrite); err != nil {
 		if errors.Is(err, ErrShortWrite) {
 			// Injected torn tail: write only half the frame bytes, then fail.
 			n, _ := j.active.Write(buf[:len(buf)/2])
@@ -354,7 +370,7 @@ func (j *Journal) repairLocked() error {
 }
 
 func (j *Journal) syncActive() error {
-	if err := firePoint(OpSync); err != nil {
+	if err := fire(failpoint.JournalSync); err != nil {
 		return fmt.Errorf("journal: sync: %w", err)
 	}
 	if j.opts.NoSync {
@@ -504,7 +520,7 @@ func writeFileAtomic(path string, data []byte, noSync bool) error {
 		os.Remove(tmp)
 		return fmt.Errorf("journal: %w", err)
 	}
-	if err := firePoint(OpSync); err != nil {
+	if err := fire(failpoint.JournalSync); err != nil {
 		f.Close()
 		os.Remove(tmp)
 		return fmt.Errorf("journal: sync: %w", err)
@@ -549,7 +565,7 @@ func fileSize(path string) (int64, error) {
 // createSegment creates wal-<idx>.log with its magic header, fsyncs it and
 // the directory, and returns it opened for append.
 func createSegment(dir string, idx uint64, noSync bool) (*os.File, int64, error) {
-	if err := firePoint(OpCreate); err != nil {
+	if err := fire(failpoint.JournalCreate); err != nil {
 		return nil, 0, fmt.Errorf("journal: create segment: %w", err)
 	}
 	f, err := os.OpenFile(segPath(dir, idx), os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)

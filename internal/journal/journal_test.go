@@ -7,6 +7,8 @@ import (
 	"path/filepath"
 	"syscall"
 	"testing"
+
+	"repro/internal/failpoint"
 )
 
 // openT opens a journal and fails the test on error.
@@ -278,11 +280,8 @@ func TestFailpointSyncFailure(t *testing.T) {
 		t.Fatal(err)
 	}
 	boom := fmt.Errorf("disk on fire")
-	restore := SetFailpoint(func(op Op) error {
-		if op == OpSync {
-			return boom
-		}
-		return nil
+	restore := failpoint.Set(failpoint.JournalSync, func(any) failpoint.Fault {
+		return failpoint.Fault{Err: boom}
 	})
 	err := j.Append(record(1))
 	restore()
@@ -303,11 +302,8 @@ func TestFailpointShortWriteLeavesRecoverableTornTail(t *testing.T) {
 	if err := j.Append(record(0)); err != nil {
 		t.Fatal(err)
 	}
-	restore := SetFailpoint(func(op Op) error {
-		if op == OpWrite {
-			return ErrShortWrite
-		}
-		return nil
+	restore := failpoint.Set(failpoint.JournalWrite, func(any) failpoint.Fault {
+		return failpoint.Fault{Err: ErrShortWrite}
 	})
 	err := j.Append(record(1))
 	restore()
@@ -340,22 +336,22 @@ func TestFailpointShortWriteLeavesRecoverableTornTail(t *testing.T) {
 // tail and keep committing.
 func TestAppendAfterENOSPCKeepsJournalServiceable(t *testing.T) {
 	enospc := fmt.Errorf("write wal: %w", syscall.ENOSPC)
-	for _, op := range []Op{OpWrite, OpSync} {
-		t.Run(string(op), func(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		point failpoint.Point
+		err   error
+	}{
+		{"write", failpoint.JournalWrite, ErrShortWrite}, // tear the frame, then fail
+		{"sync", failpoint.JournalSync, enospc},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
 			dir := t.TempDir()
 			j, _ := openT(t, dir, Options{})
 			if err := j.Append(record(0)); err != nil {
 				t.Fatal(err)
 			}
-			fail := op
-			restore := SetFailpoint(func(o Op) error {
-				if o == fail {
-					if fail == OpWrite {
-						return ErrShortWrite // tear the frame, then fail
-					}
-					return enospc
-				}
-				return nil
+			restore := failpoint.Set(tc.point, func(any) failpoint.Fault {
+				return failpoint.Fault{Err: tc.err}
 			})
 			if err := j.Append(record(1)); err == nil {
 				restore()
@@ -397,11 +393,8 @@ func TestRotationFailureRecovers(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Force rotation by exceeding RotateBytes while segment creation fails.
-	restore := SetFailpoint(func(o Op) error {
-		if o == OpCreate {
-			return syscall.ENOSPC
-		}
-		return nil
+	restore := failpoint.Set(failpoint.JournalCreate, func(any) failpoint.Fault {
+		return failpoint.Fault{Err: syscall.ENOSPC}
 	})
 	err := j.Append(record(1))
 	restore()

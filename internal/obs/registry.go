@@ -283,15 +283,6 @@ func (r *Registry) Counter(name, help string) *Counter {
 	return f.get(nil, func() series { return &Counter{} }).(*Counter)
 }
 
-// CounterFunc registers a counter whose value is read from fn at scrape
-// time. Use it to re-export counters that already live elsewhere (e.g. the
-// server's job metrics) without double accounting. fn must be safe for
-// concurrent use and monotone.
-func (r *Registry) CounterFunc(name, help string, fn func() float64) {
-	f := r.register(name, help, kindCounter, nil)
-	f.read = fn
-}
-
 // CounterVec is a counter family with label dimensions.
 type CounterVec struct{ f *family }
 

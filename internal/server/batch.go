@@ -285,7 +285,7 @@ func (s *Server) prepareBatch(req BatchRequest) (*preparedBatch, error) {
 			return resolved{}, err
 		}
 		if skipped > 0 {
-			s.metrics.IngestSkipped(uint64(skipped))
+			s.metrics.add(ingestSkipped, uint64(skipped))
 		}
 		return resolved{in: inlineLog(l.Name, l), log: l}, nil
 	}
@@ -391,13 +391,13 @@ func (r BatchRequest) Log2Paths() bool {
 func (s *Server) SubmitBatch(ctx context.Context, req BatchRequest) (*Job, error) {
 	pb, err := s.prepareBatch(req)
 	if err != nil {
-		s.metrics.Rejected()
+		s.metrics.inc(jobsRejected)
 		return nil, &requestError{err}
 	}
 	s.mu.Lock()
 	if s.closed {
 		s.mu.Unlock()
-		s.metrics.Rejected()
+		s.metrics.inc(jobsRejected)
 		return nil, ErrShuttingDown
 	}
 	s.nextID++

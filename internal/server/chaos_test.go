@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"repro/internal/chaos"
+	"repro/internal/failpoint"
 )
 
 // loadReplaySchedule loads the committed chaos schedule `make chaos-test`
@@ -93,7 +94,7 @@ func TestChaosKillRestartUnderSchedule(t *testing.T) {
 	case <-time.After(30 * time.Second):
 		t.Fatal("job never reached the blocking round")
 	}
-	if st := sA.Stats(); st.Checkpoints == 0 {
+	if st := sA.Stats(); st.Counters["checkpoints_written"] == 0 {
 		t.Fatalf("checkpoints_written = 0 before the kill")
 	}
 
@@ -148,17 +149,17 @@ func TestChaosKillRestartUnderSchedule(t *testing.T) {
 
 	// Invariant 3: recovery accounting, then /metrics agreeing with /v1/stats.
 	st := sB.Stats()
-	if st.Recovered != 2 {
-		t.Errorf("jobs_recovered = %d, want 2", st.Recovered)
+	if st.Counters["jobs_recovered"] != 2 {
+		t.Errorf("jobs_recovered = %d, want 2", st.Counters["jobs_recovered"])
 	}
-	if st.Resumed != 1 {
-		t.Errorf("jobs_resumed_from_checkpoint = %d, want 1", st.Resumed)
+	if st.Counters["jobs_resumed_from_checkpoint"] != 1 {
+		t.Errorf("jobs_resumed_from_checkpoint = %d, want 1", st.Counters["jobs_resumed_from_checkpoint"])
 	}
 	for name, want := range map[string]uint64{
-		"emsd_jobs_recovered_total": st.Recovered,
-		"emsd_jobs_resumed_total":   st.Resumed,
-		"emsd_jobs_completed_total": st.Completed,
-		"emsd_jobs_failed_total":    st.Failed,
+		"emsd_jobs_recovered_total": st.Counters["jobs_recovered"],
+		"emsd_jobs_resumed_total":   st.Counters["jobs_resumed_from_checkpoint"],
+		"emsd_jobs_completed_total": st.Counters["jobs_completed"],
+		"emsd_jobs_failed_total":    st.Counters["jobs_failed"],
 	} {
 		if got := scrapeMetric(t, tsB, name); got != float64(want) {
 			t.Errorf("%s = %v on /metrics, but /v1/stats says %d", name, got, want)
@@ -191,7 +192,7 @@ func mustJob(t *testing.T, s *Server, id string) *Job {
 func TestChaosJournalEnospcFailsJobNotDaemon(t *testing.T) {
 	sched := &chaos.Schedule{
 		Seed:  7,
-		Rules: []chaos.Rule{{Point: chaos.JournalWrite, Fault: "enospc", Count: 1}},
+		Rules: []chaos.Rule{{Point: failpoint.JournalWrite, Fault: "enospc", Count: 1}},
 	}
 	restore, err := sched.Activate()
 	if err != nil {

@@ -149,8 +149,8 @@ func TestClusterForwarding(t *testing.T) {
 	}
 
 	// The owner executed it; the sender only relayed.
-	if st := getStats(t, ts[sender]); st.Submitted != 0 {
-		t.Fatalf("sender executed %d jobs itself instead of forwarding", st.Submitted)
+	if st := getStats(t, ts[sender]); st.Counters["jobs_submitted"] != 0 {
+		t.Fatalf("sender executed %d jobs itself instead of forwarding", st.Counters["jobs_submitted"])
 	}
 	// DELETE on the qualified handle routes too (the job is already
 	// terminal, so this is just the routing check).

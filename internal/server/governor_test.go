@@ -81,8 +81,8 @@ func TestGovernorRejectsTooLargeJob(t *testing.T) {
 		t.Errorf("error carries predicted %d bytes, want > budget", tle.Predicted.Bytes)
 	}
 	st := s.Stats()
-	if st.TooLarge != 1 {
-		t.Errorf("jobs_too_large = %d, want 1", st.TooLarge)
+	if st.Counters["jobs_too_large"] != 1 {
+		t.Errorf("jobs_too_large = %d, want 1", st.Counters["jobs_too_large"])
 	}
 	if st.MemBudgetBytes != 64 {
 		t.Errorf("mem_budget_bytes = %d, want 64", st.MemBudgetBytes)
@@ -140,8 +140,8 @@ func TestDegradationLadderUnderPressure(t *testing.T) {
 	if res.Degraded != ems.DegradedFastPath && res.Degraded != ems.DegradedEstimateOnly {
 		t.Fatalf("Result.Degraded = %q, want a ladder rung", res.Degraded)
 	}
-	if st := s.Stats(); st.Degraded != 1 {
-		t.Errorf("jobs_degraded = %d, want 1", st.Degraded)
+	if st := s.Stats(); st.Counters["jobs_degraded"] != 1 {
+		t.Errorf("jobs_degraded = %d, want 1", st.Counters["jobs_degraded"])
 	}
 
 	// Opt-out: a NoDegrade job must be shed, not silently approximated.

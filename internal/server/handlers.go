@@ -172,7 +172,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	r.Body = http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
 	body, err := io.ReadAll(r.Body)
 	if err != nil {
-		s.metrics.Rejected()
+		s.metrics.inc(jobsRejected)
 		var tooLarge *http.MaxBytesError
 		if errors.As(err, &tooLarge) {
 			writeJSON(w, http.StatusRequestEntityTooLarge,
@@ -186,7 +186,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	dec := json.NewDecoder(bytes.NewReader(body))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&req); err != nil {
-		s.metrics.Rejected()
+		s.metrics.inc(jobsRejected)
 		writeJSON(w, http.StatusBadRequest, errorBody{Error: fmt.Sprintf("invalid request body: %v", err)})
 		return
 	}
@@ -195,7 +195,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	pj, err := s.prepare(req)
 	endParse()
 	if err != nil {
-		s.metrics.Rejected()
+		s.metrics.inc(jobsRejected)
 		writeJSON(w, http.StatusBadRequest, errorBody{Error: err.Error()})
 		return
 	}
@@ -322,7 +322,7 @@ func (s *Server) handleBatchSubmit(w http.ResponseWriter, r *http.Request) {
 	dec := json.NewDecoder(r.Body)
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&req); err != nil {
-		s.metrics.Rejected()
+		s.metrics.inc(jobsRejected)
 		var tooLarge *http.MaxBytesError
 		if errors.As(err, &tooLarge) {
 			writeJSON(w, http.StatusRequestEntityTooLarge,

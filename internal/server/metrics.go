@@ -1,159 +1,162 @@
 package server
 
 import (
+	"encoding/json"
 	"sync/atomic"
 	"time"
+
+	"repro/internal/obs"
+)
+
+// counterSpec declares one job counter: its /v1/stats key and its /metrics
+// family name and help text.
+type counterSpec struct{ key, name, help string }
+
+// counterSpecs is the counter table in declaration order; a counter is its
+// row index.
+var counterSpecs []counterSpec
+
+// counter names one job counter.
+type counter int
+
+func declare(key, name, help string) counter {
+	counterSpecs = append(counterSpecs, counterSpec{key, name, help})
+	return counter(len(counterSpecs) - 1)
+}
+
+// key is the counter's /v1/stats key.
+func (c counter) key() string { return counterSpecs[c].key }
+
+// The job counters, one row each. Both /v1/stats and /metrics render from
+// this table, so adding a counter takes one row here plus its call site.
+var (
+	jobsSubmitted     = declare("jobs_submitted", "emsd_jobs_submitted_total", "Accepted job submissions.")
+	jobsCompleted     = declare("jobs_completed", "emsd_jobs_completed_total", "Jobs finished successfully.")
+	jobsFailed        = declare("jobs_failed", "emsd_jobs_failed_total", "Jobs that reached the failed state.")
+	jobsCancelled     = declare("jobs_cancelled", "emsd_jobs_cancelled_total", "Jobs cancelled by a client or by shutdown.")
+	jobsRejected      = declare("jobs_rejected", "emsd_jobs_rejected_total", "Submissions refused before queueing (bad request or shutdown).")
+	jobsShed          = declare("jobs_shed", "emsd_jobs_shed_total", "Submissions turned away because the job queue was full.")
+	jobsPanicked      = declare("jobs_panicked", "emsd_jobs_panicked_total", "Jobs whose computation panicked (contained; the daemon kept serving).")
+	jobsTimedOut      = declare("jobs_deadline_exceeded", "emsd_jobs_deadline_exceeded_total", "Jobs aborted by their wall-clock deadline.")
+	cacheHits         = declare("cache_hits", "emsd_cache_hits_total", "Jobs served from the result cache or coalesced onto an in-flight twin.")
+	cacheMisses       = declare("cache_misses", "emsd_cache_misses_total", "Jobs that required a fresh computation.")
+	jobsRecovered     = declare("jobs_recovered", "emsd_jobs_recovered_total", "Unfinished jobs re-enqueued from the journal at boot.")
+	jobsResumed       = declare("jobs_resumed_from_checkpoint", "emsd_jobs_resumed_total", "Recovered jobs restarted from a persisted engine checkpoint.")
+	jobsRetried       = declare("jobs_retried", "emsd_jobs_retried_total", "Jobs re-enqueued after a transient in-process failure.")
+	checkpoints       = declare("checkpoints_written", "emsd_checkpoints_written_total", "Engine checkpoints persisted to disk.")
+	ingestSkipped     = declare("ingest_records_skipped", "emsd_ingest_records_skipped_total", "Input records discarded by lenient ingestion.")
+	jobsRepaired      = declare("jobs_repaired", "emsd_jobs_repaired_total", "Completed jobs that ran the dirty-log repair pipeline.")
+	repairDropped     = declare("repair_events_dropped", "emsd_repair_events_dropped_total", "Duplicate events removed by the repair pipeline.")
+	repairReordered   = declare("repair_events_reordered", "emsd_repair_events_reordered_total", "Events transposed back into the dominant order by the repair pipeline.")
+	repairImputed     = declare("repair_events_imputed", "emsd_repair_events_imputed_total", "Missing events re-inserted by the repair pipeline.")
+	repairQuarantined = declare("repair_traces_quarantined", "emsd_repair_traces_quarantined_total", "Traces the repair pipeline quarantined as unrepairable.")
+	jobsDegraded      = declare("jobs_degraded", "emsd_jobs_degraded_total", "Jobs downgraded a rung by the degradation ladder under memory pressure.")
+	jobsTooLarge      = declare("jobs_too_large", "emsd_jobs_too_large_total", "Jobs rejected because their predicted footprint exceeds the whole memory budget.")
 )
 
 // Metrics aggregates service counters. All methods are safe for concurrent
-// use; the zero value is ready. Every field is an independent atomic — hot
-// increments (submissions, cache probes) never contend on a lock — and
-// Snapshot reads them individually, so a snapshot taken mid-update may mix
-// counters that are one event apart. Each counter is monotonic on its own,
-// which is the consistency Prometheus-style scrapes need.
+// use. The job counters live in the server's obs.Registry, so /metrics
+// serves them directly; Snapshot reads them individually, so a snapshot
+// taken mid-update may mix counters that are one event apart. Each counter
+// is monotonic on its own, which is the consistency Prometheus-style
+// scrapes need.
 type Metrics struct {
-	submitted  atomic.Uint64
-	completed  atomic.Uint64
-	failed     atomic.Uint64
-	cancelled  atomic.Uint64
-	rejected   atomic.Uint64
-	shed       atomic.Uint64
-	panics     atomic.Uint64
-	timeouts   atomic.Uint64
-	cacheHits  atomic.Uint64
-	cacheMiss  atomic.Uint64
-	recovered  atomic.Uint64
-	resumed    atomic.Uint64
-	retried    atomic.Uint64
-	ckpWritten atomic.Uint64
-
-	// Governor counters: jobs downgraded by the degradation ladder and jobs
-	// rejected outright because their prediction exceeds the whole budget.
-	degraded atomic.Uint64
-	tooLarge atomic.Uint64
-
-	// Dirty-log counters: lenient-ingestion skips plus what the repair
-	// pipeline did across all repaired jobs.
-	ingestSkipped     atomic.Uint64
-	repairedJobs      atomic.Uint64
-	repairDropped     atomic.Uint64
-	repairReordered   atomic.Uint64
-	repairImputed     atomic.Uint64
-	repairQuarantined atomic.Uint64
+	counters []*obs.Counter // indexed by counter
 
 	// Wall-time aggregates, all in nanoseconds (timedJobs counts the jobs
 	// that contributed). totalWall/timedJobs tear at worst by one job between
 	// their two loads in Snapshot; the average is diagnostic, not billing.
-	totalWall  atomic.Int64
-	maxWall    atomic.Int64
-	lastWall   atomic.Int64
-	timedJobs  atomic.Uint64
-	lastFinish atomic.Int64 // unix nanos of the most recent computed job
+	totalWall atomic.Int64
+	maxWall   atomic.Int64
+	lastWall  atomic.Int64
+	timedJobs atomic.Uint64
 }
 
+// newMetrics registers every job counter of the table in r.
+func newMetrics(r *obs.Registry) *Metrics {
+	m := &Metrics{counters: make([]*obs.Counter, len(counterSpecs))}
+	for i, c := range counterSpecs {
+		m.counters[i] = r.Counter(c.name, c.help)
+	}
+	return m
+}
+
+// inc adds one to a counter; add adds n.
+func (m *Metrics) inc(c counter)           { m.counters[c].Inc() }
+func (m *Metrics) add(c counter, n uint64) { m.counters[c].Add(float64(n)) }
+
 // Stats is a point-in-time snapshot of the metrics plus the live gauges the
-// server injects (queue depth, running jobs, cache size).
+// server injects (queue depth, running jobs, cache size). In JSON the job
+// counters sit beside the gauges, each under its table key.
 type Stats struct {
-	Submitted      uint64  `json:"jobs_submitted"`
-	Completed      uint64  `json:"jobs_completed"`
-	Failed         uint64  `json:"jobs_failed"`
-	Cancelled      uint64  `json:"jobs_cancelled"`
-	Rejected       uint64  `json:"jobs_rejected"`
-	Shed           uint64  `json:"jobs_shed"`
-	Panicked       uint64  `json:"jobs_panicked"`
-	TimedOut       uint64  `json:"jobs_deadline_exceeded"`
+	// Counters holds every job counter by its /v1/stats key.
+	Counters map[string]uint64 `json:"-"`
+
 	QueueDepth     int     `json:"queue_depth"`
 	Running        int     `json:"jobs_running"`
-	CacheHits      uint64  `json:"cache_hits"`
-	CacheMisses    uint64  `json:"cache_misses"`
 	CacheHitRate   float64 `json:"cache_hit_rate"`
 	CacheSize      int     `json:"cache_size"`
 	AvgWallMillis  float64 `json:"avg_wall_ms"`
 	MaxWallMillis  float64 `json:"max_wall_ms"`
 	LastWallMillis float64 `json:"last_wall_ms"`
+	// JournalBytes is zero on a server without a data directory.
+	JournalBytes int64 `json:"journal_bytes"`
 
-	// Durability counters; all zero on a server without a data directory.
-	Recovered    uint64 `json:"jobs_recovered"`
-	Resumed      uint64 `json:"jobs_resumed_from_checkpoint"`
-	Retried      uint64 `json:"jobs_retried"`
-	Checkpoints  uint64 `json:"checkpoints_written"`
-	JournalBytes int64  `json:"journal_bytes"`
-
-	// Dirty-log counters: records skipped by lenient ingestion and the
-	// repair pipeline's aggregate activity across repaired jobs.
-	IngestSkipped     uint64 `json:"ingest_records_skipped"`
-	RepairedJobs      uint64 `json:"jobs_repaired"`
-	RepairDropped     uint64 `json:"repair_events_dropped"`
-	RepairReordered   uint64 `json:"repair_events_reordered"`
-	RepairImputed     uint64 `json:"repair_events_imputed"`
-	RepairQuarantined uint64 `json:"repair_traces_quarantined"`
-
-	// Governor state: counters plus the live budget gauges the server fills
-	// in. Governor is always present ("ok" on an unbudgeted node); the byte
-	// gauges are zero without a -mem-budget.
-	Degraded          uint64  `json:"jobs_degraded"`
-	TooLarge          uint64  `json:"jobs_too_large"`
+	// Governor state: Governor is always present ("ok" on an unbudgeted
+	// node); the byte gauges are zero without a -mem-budget.
 	Governor          string  `json:"governor"`
 	Load              float64 `json:"load"`
 	MemBudgetBytes    int64   `json:"mem_budget_bytes"`
 	MemCommittedBytes int64   `json:"mem_committed_bytes"`
 }
 
-// Submitted records an accepted job submission.
-func (m *Metrics) Submitted() { m.submitted.Add(1) }
+// statsGauges is Stats without its JSON methods, for the plain struct
+// encoding of the gauges.
+type statsGauges Stats
 
-// Rejected records a submission refused before queueing (bad request or
-// shutdown).
-func (m *Metrics) Rejected() { m.rejected.Add(1) }
+// MarshalJSON renders the gauges and every counter as one flat object.
+func (s Stats) MarshalJSON() ([]byte, error) {
+	b, err := json.Marshal(statsGauges(s))
+	if err != nil || len(s.Counters) == 0 {
+		return b, err
+	}
+	c, err := json.Marshal(s.Counters)
+	if err != nil {
+		return nil, err
+	}
+	return append(append(b[:len(b)-1], ','), c[1:]...), nil
+}
 
-// Shed records a submission turned away because the job queue was full.
-func (m *Metrics) Shed() { m.shed.Add(1) }
-
-// Panicked records a job whose computation panicked; the panic was contained
-// and the job failed, the daemon kept serving.
-func (m *Metrics) Panicked() { m.panics.Add(1) }
-
-// TimedOut records a job aborted by its wall-clock deadline.
-func (m *Metrics) TimedOut() { m.timeouts.Add(1) }
-
-// CacheHit records a job served from the result cache (or coalesced onto an
-// in-flight computation of the same pair).
-func (m *Metrics) CacheHit() { m.cacheHits.Add(1) }
-
-// CacheMiss records a job that required a fresh computation.
-func (m *Metrics) CacheMiss() { m.cacheMiss.Add(1) }
-
-// Recovered records a non-terminal job re-enqueued from the journal at boot.
-func (m *Metrics) Recovered() { m.recovered.Add(1) }
-
-// ResumedFromCheckpoint records a recovered job that restarted from a
-// persisted engine checkpoint instead of round 0.
-func (m *Metrics) ResumedFromCheckpoint() { m.resumed.Add(1) }
-
-// Retried records a job re-enqueued after a transient in-process failure.
-func (m *Metrics) Retried() { m.retried.Add(1) }
-
-// CheckpointWritten records one engine checkpoint persisted to disk.
-func (m *Metrics) CheckpointWritten() { m.ckpWritten.Add(1) }
-
-// Degraded records a job downgraded a rung by the degradation ladder.
-func (m *Metrics) Degraded() { m.degraded.Add(1) }
-
-// TooLarge records a job rejected because its predicted footprint exceeds
-// the entire memory budget.
-func (m *Metrics) TooLarge() { m.tooLarge.Add(1) }
-
-// IngestSkipped records n input records discarded by lenient ingestion.
-func (m *Metrics) IngestSkipped(n uint64) { m.ingestSkipped.Add(n) }
+// UnmarshalJSON reads the flat object MarshalJSON writes.
+func (s *Stats) UnmarshalJSON(b []byte) error {
+	if err := json.Unmarshal(b, (*statsGauges)(s)); err != nil {
+		return err
+	}
+	var all map[string]json.RawMessage
+	if err := json.Unmarshal(b, &all); err != nil {
+		return err
+	}
+	s.Counters = make(map[string]uint64, len(counterSpecs))
+	for _, c := range counterSpecs {
+		if v, ok := all[c.key]; ok {
+			var n uint64
+			if err := json.Unmarshal(v, &n); err != nil {
+				return err
+			}
+			s.Counters[c.key] = n
+		}
+	}
+	return nil
+}
 
 // JobRepaired records one completed job that ran the repair pipeline,
 // with the pipeline's combined tallies over both logs.
 func (m *Metrics) JobRepaired(dropped, reordered, imputed, quarantined uint64) {
-	m.repairedJobs.Add(1)
-	m.repairDropped.Add(dropped)
-	m.repairReordered.Add(reordered)
-	m.repairImputed.Add(imputed)
-	m.repairQuarantined.Add(quarantined)
+	m.inc(jobsRepaired)
+	m.add(repairDropped, dropped)
+	m.add(repairReordered, reordered)
+	m.add(repairImputed, imputed)
+	m.add(repairQuarantined, quarantined)
 }
 
 // JobDone records a finished job: its terminal state and, for jobs that
@@ -161,17 +164,16 @@ func (m *Metrics) JobRepaired(dropped, reordered, imputed, quarantined uint64) {
 func (m *Metrics) JobDone(status Status, wall time.Duration, computed bool) {
 	switch status {
 	case StatusDone:
-		m.completed.Add(1)
+		m.inc(jobsCompleted)
 	case StatusFailed:
-		m.failed.Add(1)
+		m.inc(jobsFailed)
 	case StatusCancelled:
-		m.cancelled.Add(1)
+		m.inc(jobsCancelled)
 	}
 	if computed {
 		m.timedJobs.Add(1)
 		m.totalWall.Add(int64(wall))
 		m.lastWall.Store(int64(wall))
-		m.lastFinish.Store(time.Now().UnixNano())
 		for {
 			cur := m.maxWall.Load()
 			if int64(wall) <= cur || m.maxWall.CompareAndSwap(cur, int64(wall)) {
@@ -184,33 +186,13 @@ func (m *Metrics) JobDone(status Status, wall time.Duration, computed bool) {
 // Snapshot returns the current counters. Gauges (queue depth, running,
 // cache size) are zero; the server fills them in.
 func (m *Metrics) Snapshot() Stats {
-	s := Stats{
-		Submitted:   m.submitted.Load(),
-		Completed:   m.completed.Load(),
-		Failed:      m.failed.Load(),
-		Cancelled:   m.cancelled.Load(),
-		Rejected:    m.rejected.Load(),
-		Shed:        m.shed.Load(),
-		Panicked:    m.panics.Load(),
-		TimedOut:    m.timeouts.Load(),
-		CacheHits:   m.cacheHits.Load(),
-		CacheMisses: m.cacheMiss.Load(),
-		Recovered:   m.recovered.Load(),
-		Resumed:     m.resumed.Load(),
-		Retried:     m.retried.Load(),
-		Checkpoints: m.ckpWritten.Load(),
-		Degraded:    m.degraded.Load(),
-		TooLarge:    m.tooLarge.Load(),
-
-		IngestSkipped:     m.ingestSkipped.Load(),
-		RepairedJobs:      m.repairedJobs.Load(),
-		RepairDropped:     m.repairDropped.Load(),
-		RepairReordered:   m.repairReordered.Load(),
-		RepairImputed:     m.repairImputed.Load(),
-		RepairQuarantined: m.repairQuarantined.Load(),
+	s := Stats{Counters: make(map[string]uint64, len(counterSpecs))}
+	for i, c := range m.counters {
+		s.Counters[counter(i).key()] = uint64(c.Value())
 	}
-	if total := s.CacheHits + s.CacheMisses; total > 0 {
-		s.CacheHitRate = float64(s.CacheHits) / float64(total)
+	hits, misses := s.Counters[cacheHits.key()], s.Counters[cacheMisses.key()]
+	if hits+misses > 0 {
+		s.CacheHitRate = float64(hits) / float64(hits+misses)
 	}
 	if timed := m.timedJobs.Load(); timed > 0 {
 		s.AvgWallMillis = float64(m.totalWall.Load()) / float64(time.Millisecond) / float64(timed)

@@ -4,6 +4,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"repro/internal/obs"
 )
 
 // mutexMetrics replicates the pre-atomic Metrics implementation so the two
@@ -55,11 +57,11 @@ func BenchmarkMetricsContentionMutex(b *testing.B) {
 // BenchmarkMetricsContentionAtomic is the same workload against the real
 // (atomic) Metrics.
 func BenchmarkMetricsContentionAtomic(b *testing.B) {
-	var m Metrics
+	m := newMetrics(obs.NewRegistry())
 	b.RunParallel(func(pb *testing.PB) {
 		for pb.Next() {
-			m.Submitted()
-			m.CacheHit()
+			m.inc(jobsSubmitted)
+			m.inc(cacheHits)
 		}
 	})
 }
@@ -76,7 +78,7 @@ func BenchmarkMetricsJobDoneMutex(b *testing.B) {
 }
 
 func BenchmarkMetricsJobDoneAtomic(b *testing.B) {
-	var m Metrics
+	m := newMetrics(obs.NewRegistry())
 	b.RunParallel(func(pb *testing.PB) {
 		for pb.Next() {
 			m.JobDone(StatusDone, time.Millisecond, true)

@@ -4,25 +4,27 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"repro/internal/obs"
 )
 
 func TestMetricsCountersAndRates(t *testing.T) {
-	m := &Metrics{}
-	m.Submitted()
-	m.Submitted()
-	m.Submitted()
-	m.CacheMiss()
-	m.CacheHit()
-	m.CacheHit()
+	m := newMetrics(obs.NewRegistry())
+	m.inc(jobsSubmitted)
+	m.inc(jobsSubmitted)
+	m.inc(jobsSubmitted)
+	m.inc(cacheMisses)
+	m.inc(cacheHits)
+	m.inc(cacheHits)
 	m.JobDone(StatusDone, 10*time.Millisecond, true)
 	m.JobDone(StatusDone, 30*time.Millisecond, true)
 	m.JobDone(StatusFailed, 0, false)
 	m.JobDone(StatusCancelled, 0, false)
 	s := m.Snapshot()
-	if s.Submitted != 3 || s.Completed != 2 || s.Failed != 1 || s.Cancelled != 1 {
+	if s.Counters["jobs_submitted"] != 3 || s.Counters["jobs_completed"] != 2 || s.Counters["jobs_failed"] != 1 || s.Counters["jobs_cancelled"] != 1 {
 		t.Errorf("counters = %+v", s)
 	}
-	if s.CacheHits != 2 || s.CacheMisses != 1 {
+	if s.Counters["cache_hits"] != 2 || s.Counters["cache_misses"] != 1 {
 		t.Errorf("cache counters = %+v", s)
 	}
 	if want := 2.0 / 3.0; s.CacheHitRate < want-1e-9 || s.CacheHitRate > want+1e-9 {
@@ -39,18 +41,27 @@ func TestMetricsCountersAndRates(t *testing.T) {
 	}
 }
 
+// TestMetricsZeroValueSnapshot: a fresh Metrics snapshots every counter of
+// the table at zero, with no division blowups in the derived rates.
 func TestMetricsZeroValueSnapshot(t *testing.T) {
-	var m Metrics
-	s := m.Snapshot()
+	s := newMetrics(obs.NewRegistry()).Snapshot()
 	if s.CacheHitRate != 0 || s.AvgWallMillis != 0 {
 		t.Errorf("zero-value snapshot not zero: %+v", s)
+	}
+	if len(s.Counters) != len(counterSpecs) {
+		t.Errorf("snapshot has %d counters, the table %d", len(s.Counters), len(counterSpecs))
+	}
+	for k, v := range s.Counters {
+		if v != 0 {
+			t.Errorf("%s = %d in a fresh snapshot", k, v)
+		}
 	}
 }
 
 // TestMetricsConcurrent exercises every mutator from many goroutines; run
 // with -race this pins the "safe for concurrent use" contract.
 func TestMetricsConcurrent(t *testing.T) {
-	m := &Metrics{}
+	m := newMetrics(obs.NewRegistry())
 	var wg sync.WaitGroup
 	const per = 100
 	for w := 0; w < 8; w++ {
@@ -58,9 +69,9 @@ func TestMetricsConcurrent(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < per; i++ {
-				m.Submitted()
-				m.CacheMiss()
-				m.CacheHit()
+				m.inc(jobsSubmitted)
+				m.inc(cacheMisses)
+				m.inc(cacheHits)
 				m.JobDone(StatusDone, time.Millisecond, true)
 				m.Snapshot()
 			}
@@ -68,7 +79,7 @@ func TestMetricsConcurrent(t *testing.T) {
 	}
 	wg.Wait()
 	s := m.Snapshot()
-	if s.Submitted != 8*per || s.Completed != 8*per {
+	if s.Counters["jobs_submitted"] != 8*per || s.Counters["jobs_completed"] != 8*per {
 		t.Errorf("lost updates: %+v", s)
 	}
 }

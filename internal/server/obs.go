@@ -6,9 +6,8 @@ import (
 
 // serverObs is the server's Prometheus surface: the registry served at
 // GET /metrics, the HTTP middleware metrics, and the instruments the job
-// path feeds directly. All counter families re-export the atomic Metrics
-// through read-on-scrape functions, so the /v1/stats JSON and the
-// exposition always agree on the same underlying counters.
+// path feeds directly. The job counters of Metrics live in the same
+// registry, so the /v1/stats JSON and the exposition read the same values.
 type serverObs struct {
 	reg      *obs.Registry
 	http     *obs.HTTPMetrics
@@ -31,7 +30,8 @@ func jobDurationBuckets() []float64 {
 	return []float64{.001, .005, .025, .1, .5, 1, 5, 30, 60, 300}
 }
 
-// newServerObs builds the registry over the server's metrics and gauges.
+// newServerObs builds the registry with the server's job counters
+// (s.metrics), gauges and instruments.
 func newServerObs(s *Server) *serverObs {
 	r := obs.NewRegistry()
 	o := &serverObs{reg: r, http: obs.NewHTTPMetrics(r, "emsd")}
@@ -42,38 +42,7 @@ func newServerObs(s *Server) *serverObs {
 		"version", "revision", "go_version").
 		With(v.Version, v.Revision, v.GoVersion).Set(1)
 
-	m := s.metrics
-	counters := []struct {
-		name, help string
-		read       func() uint64
-	}{
-		{"emsd_jobs_submitted_total", "Accepted job submissions.", m.submitted.Load},
-		{"emsd_jobs_completed_total", "Jobs finished successfully.", m.completed.Load},
-		{"emsd_jobs_failed_total", "Jobs that reached the failed state.", m.failed.Load},
-		{"emsd_jobs_cancelled_total", "Jobs cancelled by a client or by shutdown.", m.cancelled.Load},
-		{"emsd_jobs_rejected_total", "Submissions refused before queueing (bad request or shutdown).", m.rejected.Load},
-		{"emsd_jobs_shed_total", "Submissions turned away because the job queue was full.", m.shed.Load},
-		{"emsd_jobs_panicked_total", "Jobs whose computation panicked (contained; the daemon kept serving).", m.panics.Load},
-		{"emsd_jobs_deadline_exceeded_total", "Jobs aborted by their wall-clock deadline.", m.timeouts.Load},
-		{"emsd_cache_hits_total", "Jobs served from the result cache or coalesced onto an in-flight twin.", m.cacheHits.Load},
-		{"emsd_cache_misses_total", "Jobs that required a fresh computation.", m.cacheMiss.Load},
-		{"emsd_jobs_recovered_total", "Unfinished jobs re-enqueued from the journal at boot.", m.recovered.Load},
-		{"emsd_jobs_resumed_total", "Recovered jobs restarted from a persisted engine checkpoint.", m.resumed.Load},
-		{"emsd_jobs_retried_total", "Jobs re-enqueued after a transient in-process failure.", m.retried.Load},
-		{"emsd_checkpoints_written_total", "Engine checkpoints persisted to disk.", m.ckpWritten.Load},
-		{"emsd_ingest_records_skipped_total", "Input records discarded by lenient ingestion.", m.ingestSkipped.Load},
-		{"emsd_jobs_repaired_total", "Completed jobs that ran the dirty-log repair pipeline.", m.repairedJobs.Load},
-		{"emsd_repair_events_dropped_total", "Duplicate events removed by the repair pipeline.", m.repairDropped.Load},
-		{"emsd_repair_events_reordered_total", "Events transposed back into the dominant order by the repair pipeline.", m.repairReordered.Load},
-		{"emsd_repair_events_imputed_total", "Missing events re-inserted by the repair pipeline.", m.repairImputed.Load},
-		{"emsd_repair_traces_quarantined_total", "Traces the repair pipeline quarantined as unrepairable.", m.repairQuarantined.Load},
-		{"emsd_jobs_degraded_total", "Jobs downgraded a rung by the degradation ladder under memory pressure.", m.degraded.Load},
-		{"emsd_jobs_too_large_total", "Jobs rejected because their predicted footprint exceeds the whole memory budget.", m.tooLarge.Load},
-	}
-	for _, c := range counters {
-		read := c.read
-		r.CounterFunc(c.name, c.help, func() float64 { return float64(read()) })
-	}
+	s.metrics = newMetrics(r)
 
 	r.GaugeFunc("emsd_queue_depth", "Jobs queued but not yet running.",
 		func() float64 { return float64(s.pool.Depth()) })

@@ -11,7 +11,7 @@ import (
 	"time"
 
 	"repro/ems"
-	"repro/internal/core"
+	"repro/internal/failpoint"
 )
 
 // durableConfig is quietConfig plus a data directory and per-round
@@ -28,11 +28,12 @@ func durableConfig(t *testing.T, dir string) Config {
 func blockAtRound(round int) (started chan struct{}, restore func()) {
 	started = make(chan struct{})
 	var once sync.Once
-	restore = core.SetFailpoint(func(r int) {
-		if r >= round {
+	restore = failpoint.Set(failpoint.EngineRound, func(arg any) failpoint.Fault {
+		if arg.(int) >= round {
 			once.Do(func() { close(started) })
 			select {} // never released: the "crashed" computation
 		}
+		return failpoint.Fault{}
 	})
 	return started, restore
 }
@@ -110,7 +111,7 @@ func TestKillAndRestartResumesFromCheckpoint(t *testing.T) {
 	}
 	// Rounds 1-3 completed before the "crash", so with CheckpointEvery=1 at
 	// least one checkpoint is on disk.
-	if st := sA.Stats(); st.Checkpoints == 0 {
+	if st := sA.Stats(); st.Counters["checkpoints_written"] == 0 {
 		t.Fatalf("checkpoints_written = 0 before the crash")
 	}
 	restore() // the next server must compute unimpeded
@@ -129,11 +130,11 @@ func TestKillAndRestartResumesFromCheckpoint(t *testing.T) {
 	requireSimBitIdentical(t, directMatch(t, req), res)
 
 	st := sB.Stats()
-	if st.Recovered != 1 {
-		t.Errorf("jobs_recovered = %d, want 1", st.Recovered)
+	if st.Counters["jobs_recovered"] != 1 {
+		t.Errorf("jobs_recovered = %d, want 1", st.Counters["jobs_recovered"])
 	}
-	if st.Resumed != 1 {
-		t.Errorf("jobs_resumed_from_checkpoint = %d, want 1", st.Resumed)
+	if st.Counters["jobs_resumed_from_checkpoint"] != 1 {
+		t.Errorf("jobs_resumed_from_checkpoint = %d, want 1", st.Counters["jobs_resumed_from_checkpoint"])
 	}
 	if st.JournalBytes <= 0 {
 		t.Errorf("journal_bytes = %d, want > 0", st.JournalBytes)
@@ -173,8 +174,8 @@ func TestRestartReenqueuesQueuedJobs(t *testing.T) {
 			t.Fatalf("recovered job %s ended %s: %s", id, j.Status(), j.View().Error)
 		}
 	}
-	if st := sB.Stats(); st.Recovered != 2 {
-		t.Errorf("jobs_recovered = %d, want 2", st.Recovered)
+	if st := sB.Stats(); st.Counters["jobs_recovered"] != 2 {
+		t.Errorf("jobs_recovered = %d, want 2", st.Counters["jobs_recovered"])
 	}
 }
 
@@ -232,10 +233,11 @@ func TestRetryAfterPanicResumesFromCheckpoint(t *testing.T) {
 	t.Cleanup(func() { _ = s.Shutdown(context.Background()) })
 
 	var once sync.Once
-	restore := core.SetFailpoint(func(r int) {
-		if r >= 3 {
+	restore := failpoint.Set(failpoint.EngineRound, func(arg any) failpoint.Fault {
+		if arg.(int) >= 3 {
 			once.Do(func() { panic("injected transient failure") })
 		}
+		return failpoint.Fault{}
 	})
 	defer restore()
 
@@ -251,8 +253,8 @@ func TestRetryAfterPanicResumesFromCheckpoint(t *testing.T) {
 	res, _ := j.Result()
 	requireSimBitIdentical(t, directMatch(t, req), res)
 	st := s.Stats()
-	if st.Panicked != 1 || st.Retried != 1 {
-		t.Errorf("jobs_panicked = %d, jobs_retried = %d, want 1, 1", st.Panicked, st.Retried)
+	if st.Counters["jobs_panicked"] != 1 || st.Counters["jobs_retried"] != 1 {
+		t.Errorf("jobs_panicked = %d, jobs_retried = %d, want 1, 1", st.Counters["jobs_panicked"], st.Counters["jobs_retried"])
 	}
 }
 

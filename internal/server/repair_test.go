@@ -81,14 +81,14 @@ func TestJobWithRepairQuarantinesCorruptedLog(t *testing.T) {
 	}
 
 	st := getStats(t, ts)
-	if st.RepairedJobs != 1 {
-		t.Errorf("jobs_repaired = %d, want 1", st.RepairedJobs)
+	if st.Counters["jobs_repaired"] != 1 {
+		t.Errorf("jobs_repaired = %d, want 1", st.Counters["jobs_repaired"])
 	}
-	if st.RepairDropped == 0 || st.RepairReordered == 0 || st.RepairImputed == 0 {
+	if st.Counters["repair_events_dropped"] == 0 || st.Counters["repair_events_reordered"] == 0 || st.Counters["repair_events_imputed"] == 0 {
 		t.Errorf("repair counters not recorded: %+v", st)
 	}
-	if st.RepairQuarantined != 1 {
-		t.Errorf("repair_traces_quarantined = %d, want 1", st.RepairQuarantined)
+	if st.Counters["repair_traces_quarantined"] != 1 {
+		t.Errorf("repair_traces_quarantined = %d, want 1", st.Counters["repair_traces_quarantined"])
 	}
 
 	// An identical resubmission must coalesce or hit the cache, not recompute.
@@ -186,7 +186,7 @@ func TestLenientIngestionSkipsMalformedRows(t *testing.T) {
 	if final := pollJob(t, ts, view.ID); final.Status != StatusDone {
 		t.Fatalf("lenient job ended %s (%s)", final.Status, final.Error)
 	}
-	if st := getStats(t, ts); st.IngestSkipped != 2 {
-		t.Errorf("ingest_records_skipped = %d, want 2 (one bad row per log)", st.IngestSkipped)
+	if st := getStats(t, ts); st.Counters["ingest_records_skipped"] != 2 {
+		t.Errorf("ingest_records_skipped = %d, want 2 (one bad row per log)", st.Counters["ingest_records_skipped"])
 	}
 }

@@ -14,7 +14,7 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/core"
+	"repro/internal/failpoint"
 )
 
 // quietConfig silences the operational logger so contained-panic stacks do
@@ -51,11 +51,12 @@ func blockFirstRound() (started, release chan struct{}, restore func()) {
 	started = make(chan struct{})
 	release = make(chan struct{})
 	var once sync.Once
-	restore = core.SetFailpoint(func(round int) {
+	restore = failpoint.Set(failpoint.EngineRound, func(any) failpoint.Fault {
 		once.Do(func() {
 			close(started)
 			<-release
 		})
+		return failpoint.Fault{}
 	})
 	return started, release, restore
 }
@@ -66,8 +67,9 @@ func blockFirstRound() (started, release chan struct{}, restore func()) {
 func TestPanicInjectionFailsOnlyItsJob(t *testing.T) {
 	_, ts := newTestServer(t, quietConfig(Config{Workers: 1}))
 	var once sync.Once
-	restore := core.SetFailpoint(func(round int) {
+	restore := failpoint.Set(failpoint.EngineRound, func(any) failpoint.Fault {
 		once.Do(func() { panic("injected job panic") })
+		return failpoint.Fault{}
 	})
 	defer restore()
 
@@ -82,8 +84,8 @@ func TestPanicInjectionFailsOnlyItsJob(t *testing.T) {
 	if !strings.Contains(final.Error, "panicked") || !strings.Contains(final.Error, "injected job panic") {
 		t.Fatalf("panicked job error = %q", final.Error)
 	}
-	if st := getStats(t, ts); st.Panicked != 1 {
-		t.Fatalf("jobs_panicked = %d, want 1", st.Panicked)
+	if st := getStats(t, ts); st.Counters["jobs_panicked"] != 1 {
+		t.Fatalf("jobs_panicked = %d, want 1", st.Counters["jobs_panicked"])
 	}
 
 	// The daemon survived: a fresh (different-key) job computes normally.
@@ -105,7 +107,7 @@ func TestPanicInjectionFailsOnlyItsJob(t *testing.T) {
 // deadline counter.
 func TestJobDeadlineExceeded(t *testing.T) {
 	_, ts := newTestServer(t, quietConfig(Config{Workers: 1, JobTimeout: 5 * time.Millisecond}))
-	restore := core.SetFailpoint(func(round int) { time.Sleep(30 * time.Millisecond) })
+	restore := failpoint.Set(failpoint.EngineRound, func(any) failpoint.Fault { return failpoint.Fault{Delay: 30 * time.Millisecond} })
 	defer restore()
 
 	view, code := postJob(t, ts, paperRequest(t))
@@ -120,11 +122,11 @@ func TestJobDeadlineExceeded(t *testing.T) {
 		t.Fatalf("error = %q, want deadline diagnostic", final.Error)
 	}
 	st := getStats(t, ts)
-	if st.TimedOut != 1 {
-		t.Fatalf("jobs_deadline_exceeded = %d, want 1", st.TimedOut)
+	if st.Counters["jobs_deadline_exceeded"] != 1 {
+		t.Fatalf("jobs_deadline_exceeded = %d, want 1", st.Counters["jobs_deadline_exceeded"])
 	}
-	if st.Cancelled != 0 {
-		t.Fatalf("jobs_cancelled = %d, want 0", st.Cancelled)
+	if st.Counters["jobs_cancelled"] != 0 {
+		t.Fatalf("jobs_cancelled = %d, want 0", st.Counters["jobs_cancelled"])
 	}
 }
 
@@ -133,7 +135,7 @@ func TestJobDeadlineExceeded(t *testing.T) {
 // no deadline at all. Negative overrides are a 400.
 func TestJobTimeoutOverrideAndClamp(t *testing.T) {
 	_, ts := newTestServer(t, quietConfig(Config{Workers: 1, MaxJobTimeout: 5 * time.Millisecond}))
-	restore := core.SetFailpoint(func(round int) { time.Sleep(30 * time.Millisecond) })
+	restore := failpoint.Set(failpoint.EngineRound, func(any) failpoint.Fault { return failpoint.Fault{Delay: 30 * time.Millisecond} })
 	defer restore()
 
 	// Explicitly requesting "no deadline" (0) is clamped to the server max.
@@ -221,8 +223,8 @@ func TestCancelRunningJob(t *testing.T) {
 	if !strings.Contains(final.Error, "cancelled by client") {
 		t.Fatalf("error = %q, want client-cancel diagnostic (not shutdown)", final.Error)
 	}
-	if st := getStats(t, ts); st.Cancelled != 1 {
-		t.Fatalf("jobs_cancelled = %d, want 1", st.Cancelled)
+	if st := getStats(t, ts); st.Counters["jobs_cancelled"] != 1 {
+		t.Fatalf("jobs_cancelled = %d, want 1", st.Counters["jobs_cancelled"])
 	}
 }
 
@@ -268,8 +270,8 @@ func TestQueueFullSheds(t *testing.T) {
 	if resp.Header.Get("Retry-After") == "" {
 		t.Fatalf("shed response missing Retry-After")
 	}
-	if st := getStats(t, ts); st.Shed != 1 {
-		t.Fatalf("jobs_shed = %d, want 1", st.Shed)
+	if st := getStats(t, ts); st.Counters["jobs_shed"] != 1 {
+		t.Fatalf("jobs_shed = %d, want 1", st.Counters["jobs_shed"])
 	}
 
 	// A duplicate of the running job coalesces instead of being shed.
@@ -309,7 +311,7 @@ func TestSubmitBodyTooLarge(t *testing.T) {
 	if !strings.Contains(eb.Error, "limit") {
 		t.Fatalf("error body = %q", eb.Error)
 	}
-	if st := getStats(t, ts); st.Rejected == 0 {
+	if st := getStats(t, ts); st.Counters["jobs_rejected"] == 0 {
 		t.Fatalf("jobs_rejected = 0 after oversized body")
 	}
 }
@@ -379,7 +381,7 @@ func TestShutdownInterruptsLongJob(t *testing.T) {
 	defer ts.Close()
 	// Every round stalls 10ms: the job would take far longer than the 30ms
 	// grace, but each stall ends at a stop check.
-	restore := core.SetFailpoint(func(round int) { time.Sleep(10 * time.Millisecond) })
+	restore := failpoint.Set(failpoint.EngineRound, func(any) failpoint.Fault { return failpoint.Fault{Delay: 10 * time.Millisecond} })
 	defer restore()
 
 	view, code := postJob(t, ts, paperRequest(t))
@@ -408,5 +410,51 @@ func TestShutdownInterruptsLongJob(t *testing.T) {
 	final := pollJob(t, ts, view.ID)
 	if final.Status != StatusCancelled || !strings.Contains(final.Error, "shutting down") {
 		t.Fatalf("interrupted job = %s %q, want shutdown cancellation", final.Status, final.Error)
+	}
+}
+
+// TestFinishedJobReleasesLogs: the registry keeps up to MaxJobs finished
+// jobs, so a terminal job must drop its parsed input logs — whether it
+// completed, was cancelled while queued, or was cancelled mid-computation.
+// Under -race this also pins that clearing the logs (under the server lock)
+// never races the worker reading them.
+func TestFinishedJobReleasesLogs(t *testing.T) {
+	s, ts := newTestServer(t, quietConfig(Config{Workers: 1}))
+	started, release, restore := blockFirstRound()
+	defer restore()
+
+	running, code := postJob(t, ts, paperRequest(t))
+	if code != http.StatusAccepted {
+		t.Fatalf("submit status = %d", code)
+	}
+	<-started
+	queued, code := postJob(t, ts, slowRequest(t))
+	if code != http.StatusAccepted {
+		t.Fatalf("queued submit status = %d", code)
+	}
+	for _, id := range []string{queued.ID, running.ID} {
+		if _, code := deleteJob(t, ts, id); code != http.StatusOK {
+			t.Fatalf("cancel %s status = %d", id, code)
+		}
+	}
+	close(release)
+	req := paperRequest(t)
+	threshold := 0.2 // a distinct key: computed, not a cache hit
+	req.Options.Threshold = &threshold
+	done, code := postJob(t, ts, req)
+	if code != http.StatusAccepted {
+		t.Fatalf("submit status = %d", code)
+	}
+	for id, want := range map[string]Status{running.ID: StatusCancelled, queued.ID: StatusCancelled, done.ID: StatusDone} {
+		if final := pollJob(t, ts, id); final.Status != want {
+			t.Fatalf("%s ended %s (%s), want %s", id, final.Status, final.Error, want)
+		}
+		j, _ := s.Job(id)
+		s.mu.Lock()
+		held := j.pair.Log1 != nil || j.pair.Log2 != nil
+		s.mu.Unlock()
+		if held {
+			t.Errorf("%s is %s but still holds its input logs", id, want)
+		}
 	}
 }

@@ -256,7 +256,6 @@ func New(cfg Config) (*Server, error) {
 	ctx, cancel := context.WithCancel(context.Background())
 	s := &Server{
 		cfg:      cfg,
-		metrics:  &Metrics{},
 		cache:    newResultCache(cfg.CacheSize),
 		persist:  p,
 		cluster:  sc,
@@ -345,7 +344,7 @@ func (s *Server) prepare(req JobRequest) (*preparedJob, error) {
 		return nil, err
 	}
 	if n := skip1 + skip2; n > 0 {
-		s.metrics.IngestSkipped(uint64(n))
+		s.metrics.add(ingestSkipped, uint64(n))
 	}
 	opts, optKey, err := req.Options.build()
 	if err != nil {
@@ -391,7 +390,7 @@ func (s *Server) SubmitContext(ctx context.Context, req JobRequest) (*Job, error
 	pj, err := s.prepare(req)
 	endParse()
 	if err != nil {
-		s.metrics.Rejected()
+		s.metrics.inc(jobsRejected)
 		return nil, &requestError{err}
 	}
 	return s.submitPrepared(req, tr, pj)
@@ -457,7 +456,7 @@ func (s *Server) submitPrepared(req JobRequest, tr *obs.Trace, pj *preparedJob) 
 	// its own cache key and coalesces with other degraded submissions.
 	req, pj, rung, shed := s.applyLadder(req, pj)
 	if shed {
-		s.metrics.Shed()
+		s.metrics.inc(jobsShed)
 		s.flight.Note("shed", "reason", "no-degrade-under-pressure")
 		s.flight.Dump("shed", "reason", "no-degrade-under-pressure")
 		return nil, ErrSaturated
@@ -472,19 +471,19 @@ func (s *Server) submitPrepared(req JobRequest, tr *obs.Trace, pj *preparedJob) 
 	s.mu.Lock()
 	if s.closed {
 		s.mu.Unlock()
-		s.metrics.Rejected()
+		s.metrics.inc(jobsRejected)
 		return nil, ErrShuttingDown
 	}
 	s.nextID++
 	job := newJob(fmt.Sprintf("job-%06d", s.nextID))
 	job.trace = tr
 	s.registerLocked(job)
-	s.metrics.Submitted()
+	s.metrics.inc(jobsSubmitted)
 
 	// (a) Completed result already cached.
 	if res, ok := s.cache.Get(key); ok {
 		s.mu.Unlock()
-		s.metrics.CacheHit()
+		s.metrics.inc(cacheHits)
 		tr.StartSpan("cache-hit").End()
 		job.finish(StatusDone, res, "", 0, true)
 		s.metrics.JobDone(StatusDone, 0, false)
@@ -495,7 +494,7 @@ func (s *Server) submitPrepared(req JobRequest, tr *obs.Trace, pj *preparedJob) 
 	if leader, ok := s.inflight[key]; ok {
 		leader.followers = append(leader.followers, job)
 		s.mu.Unlock()
-		s.metrics.CacheHit()
+		s.metrics.inc(cacheHits)
 		return job, nil
 	}
 	// (c) Fresh computation: reserve the job's predicted footprint against
@@ -506,13 +505,13 @@ func (s *Server) submitPrepared(req JobRequest, tr *obs.Trace, pj *preparedJob) 
 		if aerr := s.gov.admit(pj.cost.Bytes); aerr != nil {
 			s.mu.Unlock()
 			if errors.Is(aerr, errJobTooLarge) {
-				s.metrics.TooLarge()
+				s.metrics.inc(jobsTooLarge)
 				s.flight.Note("reject", "job", job.ID, "reason", "too-large")
 				tle := &ems.TooLargeError{Predicted: *pj.cost, BudgetBytes: s.gov.budget}
 				s.completeJob(job, StatusFailed, nil, tle.Error(), 0, false)
 				return nil, tle
 			}
-			s.metrics.Shed()
+			s.metrics.inc(jobsShed)
 			s.flight.Note("shed", "job", job.ID, "reason", "saturated")
 			s.completeJob(job, StatusCancelled, nil, ErrSaturated.Error(), 0, false)
 			s.flight.Dump("shed", "job", job.ID, "reason", "saturated")
@@ -523,7 +522,7 @@ func (s *Server) submitPrepared(req JobRequest, tr *obs.Trace, pj *preparedJob) 
 	}
 	if rung != "" {
 		job.degraded = rung
-		s.metrics.Degraded()
+		s.metrics.inc(jobsDegraded)
 		s.flight.Note("degrade", "job", job.ID, "rung", rung)
 		s.flight.Dump("degraded", "job", job.ID, "rung", rung)
 	}
@@ -539,7 +538,7 @@ func (s *Server) submitPrepared(req JobRequest, tr *obs.Trace, pj *preparedJob) 
 	seq := s.nextID
 	s.inflight[key] = job
 	s.mu.Unlock()
-	s.metrics.CacheMiss()
+	s.metrics.inc(cacheMisses)
 	// Queue depth is read before the enqueue so the flight event records the
 	// depth this job saw at admission (reading after would race the pool).
 	s.flight.Note("admit", "job", job.ID, "queue_depth", strconv.Itoa(s.pool.Depth()))
@@ -567,7 +566,7 @@ func (s *Server) submitPrepared(req JobRequest, tr *obs.Trace, pj *preparedJob) 
 	}
 	if err := s.pool.Enqueue(job); err != nil {
 		if errors.Is(err, ErrQueueFull) {
-			s.metrics.Shed()
+			s.metrics.inc(jobsShed)
 			s.flight.Note("shed", "job", job.ID, "reason", "queue-full")
 			s.completeJob(job, StatusCancelled, nil, "job queue is full", 0, false)
 			s.flight.Dump("shed", "job", job.ID, "reason", "queue-full")
@@ -619,6 +618,12 @@ func (s *Server) runJob(j *Job) {
 	if !j.setRunning() {
 		return
 	}
+	s.mu.Lock()
+	pair := j.pair
+	s.mu.Unlock()
+	if pair.Log1 == nil {
+		return // cancelled between pickup and here; its logs are released
+	}
 	j.attempt++
 	if s.persist != nil && j.seq != 0 {
 		if err := s.persist.recordStart(j.ID, j.attempt); err != nil {
@@ -653,7 +658,7 @@ func (s *Server) runJob(j *Job) {
 				computeSpan.SetAttr("panic", "true")
 				computeSpan.End()
 			}
-			s.metrics.Panicked()
+			s.metrics.inc(jobsPanicked)
 			val, stack := r, debug.Stack()
 			if ep, ok := r.(*core.EnginePanic); ok {
 				val, stack = ep.Val, ep.Stack
@@ -667,7 +672,7 @@ func (s *Server) runJob(j *Job) {
 			// the last persisted checkpoint, not from scratch.
 			if s.persist != nil && j.seq != 0 && j.attempt <= s.cfg.JobRetries {
 				j.resume = s.persist.loadCheckpoint(j.ID)
-				s.metrics.Retried()
+				s.metrics.inc(jobsRetried)
 				s.requeueWithBackoff(j)
 				return
 			}
@@ -687,7 +692,7 @@ func (s *Server) runJob(j *Job) {
 				log.Warn("writing checkpoint failed", "phase", "checkpoint", "error", err)
 				return
 			}
-			s.metrics.CheckpointWritten()
+			s.metrics.inc(checkpoints)
 		}))
 		if j.resume != nil {
 			opts = append(opts, ems.WithResume(j.resume))
@@ -696,9 +701,9 @@ func (s *Server) runJob(j *Job) {
 	var res *ems.Result
 	var err error
 	if j.composite {
-		res, err = ems.MatchComposite(j.pair.Log1, j.pair.Log2, opts...)
+		res, err = ems.MatchComposite(pair.Log1, pair.Log2, opts...)
 	} else {
-		res, err = ems.Match(j.pair.Log1, j.pair.Log2, opts...)
+		res, err = ems.Match(pair.Log1, pair.Log2, opts...)
 	}
 	wall := time.Since(start)
 	if computeSpan != nil {
@@ -734,7 +739,7 @@ func (s *Server) runJob(j *Job) {
 		case errors.Is(cause, errCancelledByClient):
 			s.completeJob(j, StatusCancelled, nil, "cancelled by client", wall, false)
 		case errors.Is(cause, context.DeadlineExceeded):
-			s.metrics.TimedOut()
+			s.metrics.inc(jobsTimedOut)
 			s.flight.Note("deadline", "job", j.ID)
 			s.completeJob(j, StatusFailed, nil,
 				fmt.Sprintf("deadline exceeded: job ran longer than its %v budget", j.timeout), wall, false)
@@ -787,6 +792,9 @@ func (s *Server) completeJob(j *Job, status Status, res *ems.Result, errMsg stri
 	}
 	followers := j.followers
 	j.followers = nil
+	// A finished job keeps its view and result, not its parsed input: the
+	// registry retains up to MaxJobs finished jobs.
+	j.pair = ems.PairInput{}
 	// The governor reservation is cleared under s.mu so a racing second
 	// completion (client cancel vs. worker finish) releases exactly once.
 	cost := j.cost
@@ -1060,7 +1068,7 @@ func (s *Server) recoverActiveJob(st jobState) {
 	}
 	if res, ok := s.cache.Get(pj.key); ok {
 		// An identical job finished before the crash; serve its result.
-		s.metrics.Recovered()
+		s.metrics.inc(jobsRecovered)
 		s.completeJob(j, StatusDone, res, "", 0, false)
 		return
 	}
@@ -1069,7 +1077,7 @@ func (s *Server) recoverActiveJob(st jobState) {
 		// Identical unfinished job already re-enqueued: coalesce onto it.
 		leader.followers = append(leader.followers, j)
 		s.mu.Unlock()
-		s.metrics.Recovered()
+		s.metrics.inc(jobsRecovered)
 		return
 	}
 	j.key = pj.key
@@ -1087,10 +1095,10 @@ func (s *Server) recoverActiveJob(st jobState) {
 	s.mu.Unlock()
 	if st.Status == StatusRunning && !j.composite {
 		if j.resume = p.loadCheckpoint(st.ID); j.resume != nil {
-			s.metrics.ResumedFromCheckpoint()
+			s.metrics.inc(jobsResumed)
 		}
 	}
-	s.metrics.Recovered()
+	s.metrics.inc(jobsRecovered)
 	if err := s.pool.EnqueueForce(j); err != nil {
 		s.completeJob(j, StatusCancelled, nil, "server shutting down", 0, false)
 	}

@@ -214,13 +214,13 @@ func TestConcurrentDuplicateSubmissions(t *testing.T) {
 		}
 	}
 	st := getStats(t, ts)
-	if st.CacheMisses != 1 {
-		t.Errorf("cache misses = %d, want exactly 1 computation", st.CacheMisses)
+	if st.Counters["cache_misses"] != 1 {
+		t.Errorf("cache misses = %d, want exactly 1 computation", st.Counters["cache_misses"])
 	}
-	if st.CacheHits != 1 {
-		t.Errorf("cache hits = %d, want 1", st.CacheHits)
+	if st.Counters["cache_hits"] != 1 {
+		t.Errorf("cache hits = %d, want 1", st.Counters["cache_hits"])
 	}
-	if st.Submitted != 2 || st.Completed != 2 {
+	if st.Counters["jobs_submitted"] != 2 || st.Counters["jobs_completed"] != 2 {
 		t.Errorf("stats = %+v", st)
 	}
 	if st.CacheHitRate != 0.5 {
@@ -248,7 +248,7 @@ func TestSequentialResubmissionHitsCache(t *testing.T) {
 		t.Errorf("different options served from cache")
 	}
 	st := getStats(t, ts)
-	if st.CacheMisses != 2 || st.CacheHits != 1 {
+	if st.Counters["cache_misses"] != 2 || st.Counters["cache_hits"] != 1 {
 		t.Errorf("stats = %+v", st)
 	}
 	if st.CacheSize != 2 {
@@ -296,11 +296,11 @@ func TestBadRequests(t *testing.T) {
 		}
 	}
 	st := getStats(t, ts)
-	if st.Rejected != uint64(len(cases)) {
-		t.Errorf("rejected = %d, want %d", st.Rejected, len(cases))
+	if st.Counters["jobs_rejected"] != uint64(len(cases)) {
+		t.Errorf("rejected = %d, want %d", st.Counters["jobs_rejected"], len(cases))
 	}
-	if st.Submitted != 0 {
-		t.Errorf("bad requests counted as submissions: %d", st.Submitted)
+	if st.Counters["jobs_submitted"] != 0 {
+		t.Errorf("bad requests counted as submissions: %d", st.Counters["jobs_submitted"])
 	}
 }
 
@@ -429,7 +429,7 @@ func TestGracefulShutdownCancelsQueued(t *testing.T) {
 		t.Errorf("post-shutdown submit status = %d, want 503", code)
 	}
 	st := getStats(t, ts)
-	if st.Cancelled == 0 {
+	if st.Counters["jobs_cancelled"] == 0 {
 		t.Errorf("stats cancelled = 0 after shutdown: %+v", st)
 	}
 	if st.QueueDepth != 0 || st.Running != 0 {

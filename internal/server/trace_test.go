@@ -371,7 +371,7 @@ func TestTraceQueryUnknownAndSampling(t *testing.T) {
 		t.Fatal(err)
 	}
 	deadline := time.Now().Add(5 * time.Second)
-	for s.Stats().Completed == 0 && time.Now().Before(deadline) {
+	for s.Stats().Counters["jobs_completed"] == 0 && time.Now().Before(deadline) {
 		time.Sleep(5 * time.Millisecond)
 	}
 	if s.traces.Len() != 0 {
