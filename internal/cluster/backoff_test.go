@@ -11,10 +11,12 @@ import (
 )
 
 // flakyNode serves /healthz and POST /v1/jobs, failing every request with
-// 503 while broken is set and counting the hits per path.
-func flakyNode(t *testing.T) (srv *httptest.Server, broken *atomic.Bool, health, submits *atomic.Int64) {
+// 503 while broken is set and counting the hits per path. With heal set, a
+// submission the node fails also clears broken once it has answered, so the
+// node recovers between that attempt and the next.
+func flakyNode(t *testing.T) (srv *httptest.Server, broken, heal *atomic.Bool, health, submits *atomic.Int64) {
 	t.Helper()
-	broken = new(atomic.Bool)
+	broken, heal = new(atomic.Bool), new(atomic.Bool)
 	health, submits = new(atomic.Int64), new(atomic.Int64)
 	mux := http.NewServeMux()
 	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, r *http.Request) {
@@ -29,6 +31,9 @@ func flakyNode(t *testing.T) (srv *httptest.Server, broken *atomic.Bool, health,
 		submits.Add(1)
 		if broken.Load() {
 			w.WriteHeader(http.StatusServiceUnavailable)
+			if heal.Load() {
+				broken.Store(false)
+			}
 			return
 		}
 		w.WriteHeader(http.StatusAccepted)
@@ -36,11 +41,11 @@ func flakyNode(t *testing.T) (srv *httptest.Server, broken *atomic.Bool, health,
 	})
 	srv = httptest.NewServer(mux)
 	t.Cleanup(srv.Close)
-	return srv, broken, health, submits
+	return srv, broken, heal, health, submits
 }
 
 func TestProbeBacksOffDownPeers(t *testing.T) {
-	srv, broken, hits, _ := flakyNode(t)
+	srv, broken, _, hits, _ := flakyNode(t)
 	broken.Store(true)
 	h := NewHealth([]*Client{NewClient(Node{ID: "p1", Addr: srv.URL}, time.Second)}, nil)
 
@@ -120,23 +125,17 @@ func TestBackoffCapAndJitterBounds(t *testing.T) {
 }
 
 func TestForwardRetriesOnceOnUnavailable(t *testing.T) {
-	srv, broken, _, submits := flakyNode(t)
+	srv, broken, heal, _, submits := flakyNode(t)
 
-	// A peer that recovers between the two attempts: the retry lands.
+	// A peer that recovers between the two attempts: the retry lands. The
+	// node heals itself right after failing the first submission, so the
+	// recovery precedes the retry however the goroutines are scheduled.
 	broken.Store(true)
+	heal.Store(true)
 	c := NewClient(Node{ID: "p1", Addr: srv.URL}, time.Second)
 	c.RetryBackoff = time.Millisecond
-	done := make(chan struct{})
-	go func() {
-		// Flip the peer healthy while Forward sits in its backoff pause.
-		for submits.Load() == 0 {
-			time.Sleep(100 * time.Microsecond)
-		}
-		broken.Store(false)
-		close(done)
-	}()
 	code, _, err := c.Forward(context.Background(), []byte(`{}`))
-	<-done
+	heal.Store(false)
 	if err != nil || code != http.StatusAccepted {
 		t.Fatalf("Forward after recovery: code=%d err=%v", code, err)
 	}
