@@ -1,9 +1,9 @@
 # Developer entry points. `make check` is the gate new changes must pass:
-# vet plus the full test suite under the race detector.
+# gofmt, vet, lint and the full test suite under the race detector.
 
 GO ?= go
 
-.PHONY: all build test race vet lint check bench fuzz-smoke bench-core bench-regress crash-test cluster-test repair-test chaos-test trace-test profile metrics-check
+.PHONY: all build test race vet fmt lint check bench fuzz-smoke bench-core bench-regress crash-test cluster-test repair-test chaos-test trace-test profile metrics-check
 
 all: check
 
@@ -15,6 +15,11 @@ test:
 
 vet:
 	$(GO) vet ./...
+
+# Formatting gate: fails listing every file gofmt would rewrite.
+fmt:
+	@out=$$(gofmt -l .); \
+	if [ -n "$$out" ]; then echo "gofmt needed on:"; echo "$$out"; exit 1; fi
 
 # Race tests get an explicit budget: a deadlock in the cancellation or
 # shutdown paths should fail the build, not hang it.
@@ -37,7 +42,7 @@ lint:
 		echo "lint: govulncheck not installed; skipping"; \
 	fi
 
-check: vet lint race
+check: fmt vet lint race
 
 bench:
 	$(GO) test -bench . -benchtime 1x -run '^$$' .

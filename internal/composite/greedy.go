@@ -2,10 +2,12 @@ package composite
 
 import (
 	"fmt"
+	"sync"
 
 	"repro/internal/core"
 	"repro/internal/depgraph"
 	"repro/internal/eventlog"
+	"repro/internal/label"
 )
 
 // Config parameterizes the greedy composite matching of Algorithm 2.
@@ -71,6 +73,9 @@ type Result struct {
 func Greedy(l1, l2 *eventlog.Log, cands1, cands2 []Candidate, cfg Config) (*Result, error) {
 	if err := cfg.Sim.Validate(); err != nil {
 		return nil, err
+	}
+	if cfg.Sim.Labels != nil && cfg.Sim.Alpha < 1 {
+		cfg.Sim.Labels = memoLabels(cfg.Sim.Labels)
 	}
 	cur1, cur2 := l1.Clone(), l2.Clone()
 	g1, err := buildGraph(cur1, cfg.MinFrequency)
@@ -208,6 +213,29 @@ func Greedy(l1, l2 *eventlog.Log, cands1, cands2 []Candidate, cfg Config) (*Resu
 	res.Final = base
 	res.Log1, res.Log2 = cur1, cur2
 	return res, nil
+}
+
+// memoLabels wraps sim so each (name1, name2) pair is scored once. Every
+// candidate computation of a search shares all names but the merged one
+// with the base matrix, so one memo per Greedy call covers the base names
+// plus one new row or column per candidate, and is dropped with the call.
+// Label-matrix rows run on parallel workers, hence the lock.
+func memoLabels(sim label.Similarity) label.Similarity {
+	var mu sync.Mutex
+	memo := make(map[[2]string]float64)
+	return func(a, b string) float64 {
+		k := [2]string{a, b}
+		mu.Lock()
+		v, ok := memo[k]
+		mu.Unlock()
+		if !ok {
+			v = sim(a, b)
+			mu.Lock()
+			memo[k] = v
+			mu.Unlock()
+		}
+		return v
+	}
 }
 
 func markUsed(used map[string]bool, cand Candidate) {

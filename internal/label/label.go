@@ -7,6 +7,7 @@ package label
 
 import (
 	"math"
+	"slices"
 	"strings"
 	"unicode"
 )
@@ -18,48 +19,107 @@ type Similarity func(a, b string) float64
 // vectors. Names are lower-cased and padded with q-1 boundary markers so
 // that prefixes and suffixes contribute. q must be >= 1; q = 3 reproduces
 // the paper's setting.
+//
+// Each name's grams are the start positions of its q-rune windows, sorted
+// by window; one merge over the two sorted lists yields the integer dot
+// product and squared norms. Names of up to qgramStack padded runes are
+// scored without heap allocation.
 func QGramCosine(q int) Similarity {
 	if q < 1 {
 		q = 1
 	}
 	return func(a, b string) float64 {
-		pa, pb := qgramProfile(a, q), qgramProfile(b, q)
-		return cosine(pa, pb)
-	}
-}
-
-func qgramProfile(s string, q int) map[string]int {
-	s = strings.ToLower(s)
-	pad := strings.Repeat("\x00", q-1)
-	r := []rune(pad + s + pad)
-	prof := make(map[string]int)
-	for i := 0; i+q <= len(r); i++ {
-		prof[string(r[i:i+q])]++
-	}
-	return prof
-}
-
-func cosine(a, b map[string]int) float64 {
-	if len(a) == 0 && len(b) == 0 {
-		return 1
-	}
-	if len(a) == 0 || len(b) == 0 {
-		return 0
-	}
-	var dot, na, nb float64
-	for g, ca := range a {
-		if cb, ok := b[g]; ok {
-			dot += float64(ca) * float64(cb)
+		var runesA, runesB [qgramStack]rune
+		var posA, posB [qgramStack]int32
+		ra, ga := grams(a, q, runesA[:0], posA[:0])
+		rb, gb := grams(b, q, runesB[:0], posB[:0])
+		if len(ga) == 0 || len(gb) == 0 {
+			if len(ga) == len(gb) {
+				return 1
+			}
+			return 0
 		}
-		na += float64(ca) * float64(ca)
+		dot := 0
+		for i, j := 0, 0; i < len(ga) && j < len(gb); {
+			switch c := compareRunes(window(ra, ga[i], q), window(rb, gb[j], q)); {
+			case c < 0:
+				i++
+			case c > 0:
+				j++
+			default:
+				ca, cb := gramRun(ra, ga[i:], q), gramRun(rb, gb[j:], q)
+				dot += ca * cb
+				i, j = i+ca, j+cb
+			}
+		}
+		na, nb := sumSquares(ra, ga, q), sumSquares(rb, gb, q)
+		return float64(dot) / (math.Sqrt(float64(na)) * math.Sqrt(float64(nb)))
 	}
-	for _, cb := range b {
-		nb += float64(cb) * float64(cb)
+}
+
+// qgramStack is the padded rune length up to which QGramCosine works in
+// fixed stack buffers; longer names spill to the heap.
+const qgramStack = 128
+
+// grams appends s, lower-cased rune by rune and padded with q-1 NUL runes at
+// both ends, to runes, and the start positions of its q-rune windows, sorted
+// by window, to pos. Per-rune unicode.ToLower is what strings.ToLower
+// applies, and ranging over invalid UTF-8 yields one U+FFFD per bad byte as
+// []rune does, so the grams are those of the map-based profile.
+func grams(s string, q int, runes []rune, pos []int32) ([]rune, []int32) {
+	for i := 1; i < q; i++ {
+		runes = append(runes, 0)
 	}
-	if na == 0 || nb == 0 {
-		return 0
+	for _, r := range s {
+		runes = append(runes, unicode.ToLower(r))
 	}
-	return dot / (math.Sqrt(na) * math.Sqrt(nb))
+	for i := 1; i < q; i++ {
+		runes = append(runes, 0)
+	}
+	for p := 0; p+q <= len(runes); p++ {
+		pos = append(pos, int32(p))
+	}
+	slices.SortFunc(pos, func(x, y int32) int { return compareRunes(window(runes, x, q), window(runes, y, q)) })
+	return runes, pos
+}
+
+// window is the q-rune gram starting at position p.
+func window(runes []rune, p int32, q int) []rune { return runes[p : int(p)+q] }
+
+// compareRunes orders two equal-length rune windows. It is not generic
+// slices.Compare, whose instantiation in an inlining caller's package
+// would make the buffers escape.
+func compareRunes(x, y []rune) int {
+	for k := range x {
+		if x[k] != y[k] {
+			if x[k] < y[k] {
+				return -1
+			}
+			return 1
+		}
+	}
+	return 0
+}
+
+// gramRun counts the leading positions of g whose window equals g[0]'s.
+func gramRun(runes []rune, g []int32, q int) int {
+	first := window(runes, g[0], q)
+	n := 1
+	for n < len(g) && compareRunes(window(runes, g[n], q), first) == 0 {
+		n++
+	}
+	return n
+}
+
+// sumSquares returns the squared norm of the gram frequency vector.
+func sumSquares(runes []rune, g []int32, q int) int {
+	sum := 0
+	for i := 0; i < len(g); {
+		c := gramRun(runes, g[i:], q)
+		sum += c * c
+		i += c
+	}
+	return sum
 }
 
 // Levenshtein returns the normalized edit similarity

@@ -222,11 +222,11 @@ func TestPipelineReportAccounting(t *testing.T) {
 	clean := []string{"a c b x e y", "a c b x e y", "a c b x e y", "a c b x e y",
 		"a c b x e y", "a c b x e y", "a c b x e y", "a c b x e y"}
 	dirty := []string{
-		"a a c b x e y",   // duplicate
-		"c a b x e y",     // swap
-		"a b x e y",       // dropped c
-		"a b x y",         // dropped c and e: beyond a budget of 1
-		"a c b x e y",     // untouched
+		"a a c b x e y", // duplicate
+		"c a b x e y",   // swap
+		"a b x e y",     // dropped c
+		"a b x y",       // dropped c and e: beyond a budget of 1
+		"a c b x e y",   // untouched
 	}
 	l := mkLog("dirty", append(append([]string{}, clean...), dirty...)...)
 	p, err := NewPipeline(
