@@ -277,6 +277,69 @@ func BenchmarkSimilarityIteration(b *testing.B) {
 	}
 }
 
+// BenchmarkSimilarityIterationLarge times the exact EMS fixpoint on a
+// 200-activity opaque pair at one worker and reports the cost of one
+// formula-(1) product, the |•v1|·|•v2| edge-weighted terms of Definition 2
+// that dominate the run.
+func BenchmarkSimilarityIterationLarge(b *testing.B) {
+	p, err := dataset.GeneratePair(rand.New(rand.NewSource(11)), "bench", dataset.Options{
+		Events: 200, Traces: 40, OpaqueFraction: 1, FrequencySkew: 0.5, ExtraFront: 1, ExtraBack: 1,
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	g1, _ := depgraph.Build(p.Log1)
+	g2, _ := depgraph.Build(p.Log2)
+	ga1, _ := g1.AddArtificial()
+	ga2, _ := g2.AddArtificial()
+	cfg := core.DefaultConfig()
+	cfg.Workers = 1
+	// One observed run gives each direction's round count, from which the
+	// products follow; its evaluation count checks the replay.
+	var dirs []core.DirRoundStats
+	observed := cfg
+	observed.OnRound = func(rb *core.RoundBoundary) { dirs = append(dirs[:0], rb.Dirs...) }
+	res, err := core.Compute(ga1, ga2, observed)
+	if err != nil {
+		b.Fatal(err)
+	}
+	fe, fp := formulaProducts(b, ga1, ga2, dirs[0].Round)
+	be, bp := formulaProducts(b, ga1.Reverse(), ga2.Reverse(), dirs[1].Round)
+	if fe+be != int64(res.Evaluations) {
+		b.Fatalf("replayed %d evaluations, the engine made %d", fe+be, res.Evaluations)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := core.Compute(ga1, ga2, cfg); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(fp+bp), "ns/product")
+}
+
+// formulaProducts replays the exact, pruned iteration of one direction over
+// `rounds` rounds: a real pair is evaluated while the round is within its
+// Proposition-2 bound min(l(v1), l(v2)), at |•v1|·|•v2| products.
+func formulaProducts(b *testing.B, g1, g2 *depgraph.Graph, rounds int) (evals, products int64) {
+	l1, err := g1.LongestFromArtificial()
+	if err != nil {
+		b.Fatal(err)
+	}
+	l2, err := g2.LongestFromArtificial()
+	if err != nil {
+		b.Fatal(err)
+	}
+	for v1 := 1; v1 < g1.N(); v1++ {
+		for v2 := 1; v2 < g2.N(); v2++ {
+			n := int64(min(rounds, l1[v1], l2[v2]))
+			evals += n
+			products += n * int64(len(g1.Pre[v1])*len(g2.Pre[v2]))
+		}
+	}
+	return evals, products
+}
+
 // BenchmarkEstimation times Algorithm 1 with I = 1 on the same pair.
 func BenchmarkEstimation(b *testing.B) {
 	p := benchPairLogs(b, 30)

@@ -75,7 +75,7 @@ type dirEngine struct {
 	// disjoint location and the only cross-worker reductions are max and
 	// integer sum — both order-independent, keeping results bit-identical to
 	// the serial path.
-	bufs   [][]float64
+	bufs   [][]int64
 	deltaW []float64
 	evalW  []int
 	// rowSum[v1] holds the per-row partial of upperBoundSum; summing rows in
@@ -180,7 +180,7 @@ func newDirEngine(g1, g2 *depgraph.Graph, cfg Config, pool *rowPool, lab []float
 	if pool != nil {
 		e.workers = pool.workers
 	}
-	e.bufs = make([][]float64, e.workers)
+	e.bufs = make([][]int64, e.workers)
 	e.deltaW = make([]float64, e.workers)
 	e.evalW = make([]int, e.workers)
 	e.buildLayout()
@@ -414,17 +414,7 @@ func (e *dirEngine) buildAgreementCache() {
 					continue
 				}
 				for j, f2 := range e.inF2[v2] {
-					// C(...) = c * (1 - |f1-f2|/(f1+f2)), inlined over the
-					// pre-extracted frequencies (see edgeAgreement).
-					sum := f1 + f2
-					if sum == 0 {
-						continue
-					}
-					d := f1 - f2
-					if d < 0 {
-						d = -d
-					}
-					row[int(off)+j] = c * (1 - d/sum)
+					row[int(off)+j] = agreement(c, f1, f2)
 				}
 			}
 			rows[fi] = row
@@ -494,91 +484,90 @@ func (e *dirEngine) prefilterHopeless() {
 	}
 }
 
-// edgeAgreement returns C(v1,v1',v2,v2') = c * (1 - |f1-f2|/(f1+f2)) for the
-// in-edges (p1,v1) of g1 and (p2,v2) of g2. Both edges must exist.
+// edgeAgreement returns C(v1,v1',v2,v2') for the in-edges (p1,v1) of g1
+// and (p2,v2) of g2. Both edges must exist.
 func (e *dirEngine) edgeAgreement(p1, v1, p2, v2 int) float64 {
-	f1 := e.g1.EdgeFreq[p1][v1]
-	f2 := e.g2.EdgeFreq[p2][v2]
+	return agreement(e.cfg.C, e.g1.EdgeFreq[p1][v1], e.g2.EdgeFreq[p2][v2])
+}
+
+// agreement is the edge-agreement factor c * (1 - |f1-f2|/(f1+f2)) of two
+// edge frequencies, 0 when both are 0.
+func agreement(c, f1, f2 float64) float64 {
 	sum := f1 + f2
 	if sum == 0 {
 		return 0
 	}
-	return e.cfg.C * (1 - math.Abs(f1-f2)/sum)
+	return c * (1 - math.Abs(f1-f2)/sum)
 }
 
 // oneSides computes s(v1,v2) and s(v2,v1) of Definition 2 from the prev
 // matrix in one pass: for each in-neighbor of one event, the best
 // edge-weighted similarity against the in-neighbors of the other, averaged.
 // w selects the calling worker's scratch buffer.
+//
+// Both maxima run on the IEEE-754 bit patterns of the products read as
+// signed int64. For non-negative floats the patterns order like the values,
+// and every pattern with the sign bit set (the negatives and -0) reads below
+// the pattern of +0, which is 0. So an integer max that starts at 0 equals
+// the builtin max(0.0, ...) bit for bit for every non-NaN product, at one
+// compare and conditional move instead of the builtin's NaN and signed-zero
+// handling. A NaN whose sign bit is set reads as 0 (one without it wins,
+// as with the builtin); label.Similarity is documented as [0,1], and no
+// in-contract input produces NaN. The sums add the maxima in pre-set order,
+// so both results equal Definition 2 evaluated with the builtin max, bit for
+// bit (TestKernelMatchesDefinition).
 func (e *dirEngine) oneSides(v1, v2, w int) (s12, s21 float64) {
 	rows := e.preRow1[v1]
 	cols := e.preCol2[v2]
 	if len(rows) == 0 || len(cols) == 0 {
 		return 0, 0
 	}
-	if e.agreeRows != nil {
-		if off := e.aOff2[v2]; off >= 0 {
-			fids := e.fIdx1[v1]
-			best2 := e.bufs[w]
-			if cap(best2) < len(cols) {
-				best2 = make([]float64, len(cols))
-			} else {
-				best2 = best2[:len(cols)]
-				for j := range best2 {
-					best2[j] = 0
-				}
-			}
-			// Branchless inner kernel: a zero prev entry yields v = 0, which
-			// never beats the (non-negative) running maxima, so the products
-			// are computed unconditionally — same numbers, no data-dependent
-			// branch. Reslicing the agreement row per outer step lets the
-			// compiler drop the bounds checks on r[j] and best2[j].
-			prev := e.prev
-			var sum1 float64
-			for i, base := range rows {
-				r := e.agreeRows[fids[i]][off : int(off)+len(cols)]
-				best := 0.0
-				for j, c := range cols {
-					v := r[j] * prev[base+c]
-					best = max(best, v)
-					best2[j] = max(best2[j], v)
-				}
-				sum1 += best
-			}
-			var sum2 float64
-			for _, b := range best2 {
-				sum2 += b
-			}
-			e.bufs[w] = best2
-			return sum1 / float64(len(rows)), sum2 / float64(len(cols))
-		}
+	best2 := e.bufs[w]
+	if cap(best2) < len(cols) {
+		best2 = make([]int64, len(cols))
+		e.bufs[w] = best2
 	}
-	// Fallback without the agreement cache.
-	pre1 := e.g1.Pre[v1]
-	pre2 := e.g2.Pre[v2]
+	best2 = best2[:len(cols)]
+	clear(best2)
+	// Branchless inner kernel: a zero prev entry yields a zero product,
+	// which never beats the running maxima, so the products are computed
+	// unconditionally. Reslicing the agreement row per outer step lets the
+	// compiler drop the bounds checks on r[j] and best2[j].
+	prev := e.prev
 	var sum1 float64
-	best2 := make([]float64, len(pre2))
-	for i, p1 := range pre1 {
-		base := rows[i]
-		best := 0.0
-		for j, p2 := range pre2 {
-			if s := e.prev[base+cols[j]]; s != 0 {
-				v := e.edgeAgreement(p1, v1, p2, v2) * s
-				if v > best {
-					best = v
-				}
-				if v > best2[j] {
-					best2[j] = v
-				}
+	if e.agreeRows != nil {
+		off := int(e.aOff2[v2])
+		fids := e.fIdx1[v1]
+		for i, base := range rows {
+			r := e.agreeRows[fids[i]][off : off+len(cols)]
+			var best int64
+			for j, c := range cols {
+				v := int64(math.Float64bits(r[j] * prev[base+c]))
+				best = max(best, v)
+				best2[j] = max(best2[j], v)
 			}
+			sum1 += math.Float64frombits(uint64(best))
 		}
-		sum1 += best
+	} else {
+		// Without the agreement cache the factors are computed on the fly.
+		c := e.cfg.C
+		f1s, f2s := e.inF1[v1], e.inF2[v2][:len(cols)]
+		for i, base := range rows {
+			f1 := f1s[i]
+			var best int64
+			for j, col := range cols {
+				v := int64(math.Float64bits(agreement(c, f1, f2s[j]) * prev[base+col]))
+				best = max(best, v)
+				best2[j] = max(best2[j], v)
+			}
+			sum1 += math.Float64frombits(uint64(best))
+		}
 	}
 	var sum2 float64
 	for _, b := range best2 {
-		sum2 += b
+		sum2 += math.Float64frombits(uint64(b))
 	}
-	return sum1 / float64(len(pre1)), sum2 / float64(len(pre2))
+	return sum1 / float64(len(rows)), sum2 / float64(len(cols))
 }
 
 // step performs one iteration round (formula (1)) over all non-frozen real
