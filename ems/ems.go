@@ -195,12 +195,12 @@ type Result struct {
 	Estimated bool
 	// ErrorBound is the certified per-pair absolute error bound of a
 	// fast-path run: no Sim entry is further than this from the exact
-	// fixpoint (a-posteriori Banach bound, worst direction). Zero for exact
+	// fixpoint (a-posteriori Banach bound, worst direction). It is at most
+	// the fast-path budget unless the run hit its round cap. Zero for exact
 	// runs.
 	ErrorBound float64
-	// Pruned counts pair evaluations skipped as provably or adaptively
-	// converged (Proposition 2 bounds plus the fast path's per-pair
-	// freezing), summed over rounds and directions.
+	// Pruned counts pair evaluations skipped as provably converged
+	// (Proposition 2 bounds), summed over rounds and directions.
 	Pruned int
 	// Composites1 and Composites2 list the accepted composite events per
 	// side (nil for plain matching).

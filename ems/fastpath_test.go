@@ -62,8 +62,9 @@ func TestMatchFastDefaultGoldenMapping(t *testing.T) {
 
 // TestMatchFastPathSurface covers the new result fields end to end on a
 // workload large enough for the adaptive cutover to fire: the fast result
-// declares the estimation, carries a positive certified bound and a
-// non-zero pruned count, and finishes in fewer evaluations than exact.
+// declares the estimation, carries a positive certified bound, prunes no
+// more than the exact run (both count Proposition-2 skips only, and the
+// fast run stops earlier), and finishes in fewer evaluations than exact.
 func TestMatchFastPathSurface(t *testing.T) {
 	l1, l2 := permutedLogsForFastPath(40, 60)
 
@@ -82,8 +83,8 @@ func TestMatchFastPathSurface(t *testing.T) {
 	if fast.ErrorBound <= 0 {
 		t.Errorf("ErrorBound = %g, want > 0", fast.ErrorBound)
 	}
-	if fast.Pruned <= 0 {
-		t.Errorf("Pruned = %d, want > 0", fast.Pruned)
+	if fast.Pruned > exact.Pruned {
+		t.Errorf("fast Pruned = %d exceeds exact %d", fast.Pruned, exact.Pruned)
 	}
 	if fast.Evaluations >= exact.Evaluations {
 		t.Errorf("fast evaluations %d not below exact %d", fast.Evaluations, exact.Evaluations)

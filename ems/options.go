@@ -72,10 +72,9 @@ func buildOptions(opts []Option) (*options, error) {
 		useBounds:          true,
 	}
 	// The adaptive fast path (estimation-seeded iteration with certified
-	// error bound) and the blocked matrix layout are on by default;
-	// WithExact is the escape hatch back to plain exact iteration.
+	// error bound) is on by default; WithExact is the escape hatch back to
+	// plain exact iteration.
 	o.sim.FastPath = true
-	o.sim.Tiled = true
 	for _, opt := range opts {
 		if err := opt(o); err != nil {
 			return nil, err

@@ -39,22 +39,18 @@ type DirCheckpoint struct {
 	LastDelta float64
 	// N1 and N2 are the matrix dimensions including the artificial event.
 	N1, N2 int
-	// Cur and Prev are the S^round and S^(round-1) matrices, exact float64
-	// bits, always in canonical row-major order regardless of the engine's
-	// in-memory layout (Config.Tiled) — checkpoints are interchangeable
-	// between layouts. Both are needed: the estimation pass fits its
+	// Cur and Prev are the S^round and S^(round-1) matrices, row-major,
+	// exact float64 bits. Both are needed: the estimation pass fits its
 	// recurrence constant from the last two iterates.
 	Cur, Prev []float64
-	// Fast-path detector state (Config.FastPath): the delta trajectory the
-	// adaptive cutover watches and the per-pair small-increment table
-	// (canonical row-major, one byte per pair). Small is nil for non-fast
-	// computations; a resumed fast run replays the same cutover decision at
-	// the same round.
+	// Fast is set for fast-path computations (Config.FastPath); the fields
+	// after it are the delta trajectory the adaptive cutover watches, so a
+	// resumed fast run replays the same cutover decision at the same round.
+	Fast        bool
 	Cutover     bool
 	PrevDelta   float64
 	PrevRatio   float64
 	RatioStreak int
-	Small       []uint8
 }
 
 // Checkpoint is a consistent snapshot of a Computation between iteration
@@ -87,19 +83,21 @@ func (cp *Checkpoint) Round() int {
 //	per direction:
 //	  round, evals                            int64 LE each
 //	  flags (bit0 converged, 1 estimated,
-//	         2 warmed, 3 fast-path trailer
-//	         present, 4 cutover)              1 byte
+//	         2 warmed, 4 cutover,
+//	         5 fast-path trailer present)     1 byte
 //	  lastDelta                               float64 bits LE
 //	  n1, n2                                  uint32 LE each
 //	  cur[n1*n2], prev[n1*n2]                 float64 bits LE each
-//	  if flags bit3 (fast-path trailer):
+//	  if flags bit5 (fast-path trailer):
 //	    prevDelta, prevRatio                  float64 bits LE each
 //	    ratioStreak                           int64 LE
-//	    small[n1*n2]                          1 byte each
 //	crc32c over everything above              uint32 LE
 //
-// Checkpoints written before the fast path existed never set bit3 and decode
-// unchanged.
+// Flag bit3 marked an older fast-path trailer that also carried a one-byte
+// per-pair freeze table after ratioStreak. The engine no longer freezes
+// pairs, so a checkpoint with bit3 set cannot resume bit-identically and
+// decodes as corrupt: its job restarts from round 0. Exact-mode checkpoints
+// never set bit3 or bit5 and decode unchanged.
 const (
 	checkpointMagic  = "EMSCKP01"
 	ckpMagicLen      = 8
@@ -123,12 +121,9 @@ func (cp *Checkpoint) MarshalBinary() ([]byte, error) {
 		if d.N1 <= 0 || d.N2 <= 0 || len(d.Cur) != d.N1*d.N2 || len(d.Prev) != d.N1*d.N2 {
 			return nil, fmt.Errorf("core: checkpoint direction %d has inconsistent dimensions", i)
 		}
-		if d.Small != nil && len(d.Small) != d.N1*d.N2 {
-			return nil, fmt.Errorf("core: checkpoint direction %d has inconsistent fast-path table", i)
-		}
 		size += ckpDirHeaderLen + 16*len(d.Cur)
-		if d.Small != nil {
-			size += 8 + 8 + 8 + len(d.Small)
+		if d.Fast {
+			size += 8 + 8 + 8
 		}
 	}
 	buf := make([]byte, 0, size)
@@ -149,11 +144,11 @@ func (cp *Checkpoint) MarshalBinary() ([]byte, error) {
 		if d.Warmed {
 			flags |= 4
 		}
-		if d.Small != nil {
-			flags |= 8
-		}
 		if d.Cutover {
 			flags |= 16
+		}
+		if d.Fast {
+			flags |= 32
 		}
 		buf = append(buf, flags)
 		buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(d.LastDelta))
@@ -165,11 +160,10 @@ func (cp *Checkpoint) MarshalBinary() ([]byte, error) {
 		for _, v := range d.Prev {
 			buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(v))
 		}
-		if d.Small != nil {
+		if d.Fast {
 			buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(d.PrevDelta))
 			buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(d.PrevRatio))
 			buf = binary.LittleEndian.AppendUint64(buf, uint64(int64(d.RatioStreak)))
-			buf = append(buf, d.Small...)
 		}
 	}
 	buf = binary.LittleEndian.AppendUint32(buf, crc32.Checksum(buf, ckpCRCTable))
@@ -214,8 +208,11 @@ func (cp *Checkpoint) UnmarshalBinary(data []byte) error {
 		d.Converged = flags&1 != 0
 		d.Estimated = flags&2 != 0
 		d.Warmed = flags&4 != 0
-		hasFast := flags&8 != 0
+		if flags&8 != 0 {
+			return corrupt("fast-path trailer with a per-pair freeze table (older format)")
+		}
 		d.Cutover = flags&16 != 0
+		d.Fast = flags&32 != 0
 		d.LastDelta = math.Float64frombits(binary.LittleEndian.Uint64(body[off+17:]))
 		d.N1 = int(binary.LittleEndian.Uint32(body[off+25:]))
 		d.N2 = int(binary.LittleEndian.Uint32(body[off+29:]))
@@ -238,16 +235,14 @@ func (cp *Checkpoint) UnmarshalBinary(data []byte) error {
 			d.Prev[j] = math.Float64frombits(binary.LittleEndian.Uint64(body[off:]))
 			off += 8
 		}
-		if hasFast {
-			if len(body)-off < 24+n {
+		if d.Fast {
+			if len(body)-off < 24 {
 				return corrupt("truncated fast-path trailer")
 			}
 			d.PrevDelta = math.Float64frombits(binary.LittleEndian.Uint64(body[off:]))
 			d.PrevRatio = math.Float64frombits(binary.LittleEndian.Uint64(body[off+8:]))
 			d.RatioStreak = int(int64(binary.LittleEndian.Uint64(body[off+16:])))
 			off += 24
-			d.Small = append([]uint8(nil), body[off:off+n]...)
-			off += n
 		}
 	}
 	if off != len(body) {
@@ -287,9 +282,7 @@ func (c *Computation) Fingerprint() uint64 {
 		put(uint64(int64(c.cfg.Direction)))
 		// The fast path changes the numeric trajectory, so its parameters
 		// join the hash — but only when armed, keeping checkpoints written
-		// by earlier exact-mode binaries valid. Tiled is deliberately
-		// excluded: layout never changes numbers, so checkpoints are
-		// interchangeable between layouts.
+		// by earlier exact-mode binaries valid.
 		if c.cfg.FastPath && c.cfg.EstimateI < 0 {
 			put(0xFA57FA57)
 			putF(c.cfg.fastPathBudget())
@@ -346,7 +339,7 @@ func (c *Computation) Fingerprint() uint64 {
 func (c *Computation) checkpointNow() *Checkpoint {
 	cp := &Checkpoint{Fingerprint: c.Fingerprint()}
 	for _, e := range c.engines() {
-		d := DirCheckpoint{
+		cp.Dirs = append(cp.Dirs, DirCheckpoint{
 			Round:       e.round,
 			Evals:       e.evals,
 			Converged:   e.converged,
@@ -355,33 +348,16 @@ func (c *Computation) checkpointNow() *Checkpoint {
 			LastDelta:   e.lastDelta,
 			N1:          e.n1,
 			N2:          e.n2,
-			Cur:         e.logicalMatrix(e.cur),
-			Prev:        e.logicalMatrix(e.prev),
+			Cur:         append([]float64(nil), e.cur...),
+			Prev:        append([]float64(nil), e.prev...),
+			Fast:        e.fast,
 			Cutover:     e.cutover,
 			PrevDelta:   e.prevDelta,
 			PrevRatio:   e.prevRatio,
 			RatioStreak: e.ratioStreak,
-		}
-		if e.small != nil {
-			d.Small = append([]uint8(nil), e.small...)
-		}
-		cp.Dirs = append(cp.Dirs, d)
+		})
 	}
 	return cp
-}
-
-// logicalMatrix copies a similarity matrix out of the engine's in-memory
-// layout into canonical row-major order.
-func (e *dirEngine) logicalMatrix(m []float64) []float64 {
-	out := make([]float64, e.n1*e.n2)
-	for i := 0; i < e.n1; i++ {
-		mrow := e.rowOff[i]
-		lrow := i * e.n2
-		for j := 0; j < e.n2; j++ {
-			out[lrow+j] = m[mrow+e.colOff[j]]
-		}
-	}
-	return out
 }
 
 // Restore rewinds a freshly constructed Computation to the state captured in
@@ -418,22 +394,15 @@ func (c *Computation) Restore(cp *Checkpoint) error {
 	}
 	for i, e := range engines {
 		d := &cp.Dirs[i]
-		for row := 0; row < e.n1; row++ {
-			mrow := e.rowOff[row]
-			lrow := row * e.n2
-			for col := 0; col < e.n2; col++ {
-				e.cur[mrow+e.colOff[col]] = d.Cur[lrow+col]
-				e.prev[mrow+e.colOff[col]] = d.Prev[lrow+col]
-			}
-		}
+		copy(e.cur, d.Cur)
+		copy(e.prev, d.Prev)
 		e.round = d.Round
 		e.evals = d.Evals
 		e.converged = d.Converged
 		e.estimated = d.Estimated
 		e.warmed = d.Warmed
 		e.lastDelta = d.LastDelta
-		if e.fast && d.Small != nil {
-			copy(e.small, d.Small)
+		if e.fast && d.Fast {
 			e.cutover = d.Cutover
 			e.prevDelta = d.PrevDelta
 			e.prevRatio = d.PrevRatio

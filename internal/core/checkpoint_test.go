@@ -2,6 +2,8 @@ package core
 
 import (
 	"errors"
+	"fmt"
+	"os"
 	"testing"
 )
 
@@ -17,9 +19,7 @@ func TestCheckpointedRunBitIdenticalAndResumable(t *testing.T) {
 		{"estimate3", func(c *Config) { c.EstimateI = 3 }},
 		{"workers4", func(c *Config) { c.Workers = 4 }},
 		{"labels", func(c *Config) { c.Alpha = 0.7; c.Labels = testLabelSim }},
-		{"tiled", func(c *Config) { c.Tiled = true }},
 		{"fastpath", func(c *Config) { c.FastPath = true }},
-		{"fastpath-tiled", func(c *Config) { c.FastPath = true; c.Tiled = true }},
 	}
 	g1, g2 := procgenGraphs(t, 7, 12, 40)
 	for _, tc := range cases {
@@ -52,13 +52,10 @@ func TestCheckpointedRunBitIdenticalAndResumable(t *testing.T) {
 			}
 
 			// Resuming from every captured checkpoint — after a
-			// serialization round-trip, under a different worker budget and
-			// the opposite matrix layout (checkpoints are canonical
-			// row-major, so tiled and untiled engines interchange) — must
-			// reproduce the baseline exactly. For the fast-path cases this
-			// includes checkpoints taken before the cutover, so the detector
-			// state (delta history, ratio streak, frozen pairs) round-trips
-			// too.
+			// serialization round-trip and under a different worker budget —
+			// must reproduce the baseline exactly. For the fast-path case
+			// this includes checkpoints taken before the cutover, so the
+			// detector state (delta history, ratio streak) round-trips too.
 			for k, cp := range cps {
 				data, err := cp.MarshalBinary()
 				if err != nil {
@@ -69,7 +66,6 @@ func TestCheckpointedRunBitIdenticalAndResumable(t *testing.T) {
 					t.Fatalf("checkpoint %d: UnmarshalBinary: %v", k, err)
 				}
 				rcfg := cfg
-				rcfg.Tiled = !rcfg.Tiled // resume under the opposite layout
 				if rcfg.Workers == 4 {
 					rcfg.Workers = 1 // resume under a different budget
 				} else {
@@ -272,5 +268,59 @@ func TestCheckpointMarshalRejectsInconsistent(t *testing.T) {
 	bad = &Checkpoint{Dirs: []DirCheckpoint{{N1: 2, N2: 2, Cur: make([]float64, 3), Prev: make([]float64, 4)}}}
 	if _, err := bad.MarshalBinary(); err == nil {
 		t.Fatalf("marshal of inconsistent dims succeeded")
+	}
+}
+
+// TestCheckpointOlderFormat pins how checkpoints written before the engine
+// stopped freezing pairs decode. Both files in testdata were taken at round
+// 2 of the procgen pair below under DefaultConfig. The exact-mode one has
+// the same encoding today and must resume bit-identically. The fast-path one
+// carries a per-pair freeze table in its trailer; it must decode as corrupt,
+// which makes emsd discard it and restart the job from round 0.
+func TestCheckpointOlderFormat(t *testing.T) {
+	g1, g2 := procgenGraphs(t, 7, 12, 40)
+
+	data, err := os.ReadFile("testdata/checkpoint_exact_round2.bin")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var cp Checkpoint
+	if err := cp.UnmarshalBinary(data); err != nil {
+		t.Fatalf("exact-mode checkpoint: UnmarshalBinary: %v", err)
+	}
+	if cp.Round() != 2 {
+		t.Fatalf("exact-mode checkpoint is at round %d, want 2", cp.Round())
+	}
+	cfg := DefaultConfig()
+	baseline, err := Compute(g1, g2, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, workers := range []int{1, 2} {
+		cfg.Workers = workers
+		c, err := NewComputation(g1, g2, cfg, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := c.Restore(&cp); err != nil {
+			t.Fatalf("exact-mode checkpoint: Restore: %v", err)
+		}
+		if err := c.Run(); err != nil {
+			t.Fatal(err)
+		}
+		resumed, err := c.Result()
+		if err != nil {
+			t.Fatal(err)
+		}
+		requireBitIdentical(t, baseline, resumed, fmt.Sprintf("resume workers=%d", workers))
+	}
+
+	data, err = os.ReadFile("testdata/checkpoint_freeze_table_round2.bin")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var old Checkpoint
+	if err := old.UnmarshalBinary(data); !errors.Is(err, ErrCorruptCheckpoint) {
+		t.Fatalf("fast-path checkpoint with a freeze table: got %v, want ErrCorruptCheckpoint", err)
 	}
 }

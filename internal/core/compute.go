@@ -33,12 +33,12 @@ type Result struct {
 	Estimated bool
 	// ErrorBound is the certified per-pair absolute error bound of a
 	// fast-path run (Config.FastPath): the worst direction's a-posteriori
-	// Banach bound residual/(1-alpha*c). Zero for exact and explicit
-	// EstimateI runs, which do not pay for the certification pass.
+	// Banach bound. It is at most the fast-path budget unless the run hit
+	// MaxRounds. Zero for exact and explicit EstimateI runs, which do not
+	// pay for the certification pass.
 	ErrorBound float64
-	// Pruned counts pair evaluations skipped across both directions and all
-	// rounds: Proposition-2 convergence skips plus, on the fast path, the
-	// adaptive per-pair freezes.
+	// Pruned counts the pair evaluations that Proposition 2 proved
+	// converged and skipped, summed over both directions and all rounds.
 	Pruned int
 
 	// idxOnce lazily builds the name-to-index maps behind Lookup, which
@@ -217,7 +217,7 @@ func applySeed(e *dirEngine, g1, g2 *depgraph.Graph, values map[string]map[strin
 			if freeze {
 				e.seed(i, j, v)
 			} else if !e.frozen[i*e.n2+j] {
-				e.cur[e.rowOff[i]+e.colOff[j]] = v
+				e.cur[i*e.n2+j] = v
 				e.warmed = true
 			}
 		}

@@ -83,24 +83,19 @@ type Config struct {
 	// delta*ac/(1-ac) (Banach, with ac = Alpha*C) proves the remaining change
 	// is below FastPathBudget/2 — the iteration cuts over to the per-pair
 	// closed-form estimate of Section 3.5, fitted from the last two exact
-	// iterates. Mid-run, pairs whose own increment stayed below a derived
-	// tolerance for two consecutive rounds are frozen early (adaptive
-	// per-pair pruning), which is where the Proposition-2 eval savings come
-	// from on cyclic graphs whose global bound is infinite. The result
-	// carries a rigorous a-posteriori error bound (Result.ErrorBound),
-	// computed from one residual evaluation of the final matrix:
-	// |S - S*| <= residual/(1-ac) per pair. FastPath never fires on runs
-	// that converge to Epsilon before the cutover criterion is met, and is
-	// deterministic at every worker count. Ignored when EstimateI >= 0.
+	// iterates. The result carries a rigorous a-posteriori error bound
+	// (Result.ErrorBound), computed from one residual evaluation of the
+	// final matrix: |S - S*| <= residual/(1-ac) per pair. While that bound
+	// exceeds FastPathBudget, further exact rounds run, each certifying
+	// delta*ac/(1-ac), so the bound fits the budget unless MaxRounds stops
+	// the run first. FastPath never fires on runs that converge to Epsilon
+	// before the cutover criterion is met, and is deterministic at every
+	// worker count. Ignored when EstimateI >= 0.
 	FastPath bool
 	// FastPathBudget is the per-pair absolute error budget the fast path
 	// aims for; <= 0 picks DefaultFastPathBudget. Must be < 1.
 	FastPathBudget float64
-	// Tiled stores the cur/prev similarity matrices as flat blocked 64x64
-	// []float64 tiles instead of row-major, improving cache locality on
-	// large instances. Pure layout: results are bit-identical with tiling
-	// on or off, at every worker count, and checkpoints are interchangeable
-	// between layouts.
+	// Deprecated: ignored; matrices are always row-major.
 	Tiled bool
 	// Labels is the label similarity S^L; nil means opaque labels
 	// (similarity 0 everywhere). It is only consulted when Alpha < 1.

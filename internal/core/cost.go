@@ -11,7 +11,7 @@ import (
 // then lets NewComputation allocate the matrices.
 //
 // The prediction covers the engine's own O(n1*n2) state — similarity
-// matrices, label matrix, freeze maps, agreement cache, pre-set tables —
+// matrices, label matrix, frozen-pair map, agreement cache, pre-set tables —
 // which dominates peak heap for any non-trivial pair. It deliberately does
 // not model the parsed logs or graphs themselves (already resident when the
 // estimate is made) nor allocator slack; callers wanting headroom apply
@@ -20,8 +20,8 @@ type CostEstimate struct {
 	// Bytes is the predicted peak engine heap across all direction engines.
 	Bytes int64
 	// Evals is an upper bound on formula-(1) evaluations: active pairs per
-	// direction times the convergence bound. Pruning, freezing, and the
-	// estimation cutover only ever reduce it.
+	// direction times the convergence bound. Pruning and the estimation
+	// cutover only ever reduce it.
 	Evals int64
 	// Directions holds the per-direction breakdown (one entry for Forward
 	// or Backward, two for Both).
@@ -31,9 +31,8 @@ type CostEstimate struct {
 // DirCost itemizes one direction engine's predicted footprint.
 type DirCost struct {
 	N1, N2 int
-	// MatrixBytes covers cur+prev (tile-padded when Tiled) plus the freeze
-	// map, the fast-path small map, and — for the first direction only, the
-	// second shares it — the label matrix.
+	// MatrixBytes covers cur+prev plus the frozen-pair map and — for the
+	// first direction only, the second shares it — the label matrix.
 	MatrixBytes int64
 	// AgreeBytes is the agreement cache: the factor table plus the fIdx1 /
 	// aOff2 index arrays, zero when the table would exceed agreeCacheLimit
@@ -79,39 +78,28 @@ func EstimateCost(g1, g2 *depgraph.Graph, cfg Config) CostEstimate {
 // wiring: the backward engine runs over Reverse()d graphs, so its in-edge
 // structures are the forward graphs' out-edges; ownsLab is false for the
 // engine that shares the other's label matrix. The math reads straight off
-// newDirEngine/buildLayout/buildAgreementCache; keep them in sync.
+// newDirEngine/buildPreSets/buildAgreementCache; keep them in sync.
 func estimateDir(g1, g2 *depgraph.Graph, cfg Config, reversed, ownsLab bool) DirCost {
 	n1, n2 := g1.N(), g2.N()
 	d := DirCost{N1: n1, N2: n2}
 	cells := int64(n1) * int64(n2)
 
-	// cur + prev: matLen cells each, tile-padded when Tiled.
-	matLen := cells
-	if cfg.Tiled {
-		bands := int64(n1+tileSize-1) >> tileShift
-		tilesPerBand := int64(n2+tileSize-1) >> tileShift
-		matLen = bands * tilesPerBand << (2 * tileShift)
-	}
-	d.MatrixBytes = 2 * 8 * matLen
-	// lab (allocated regardless of Alpha, once per Computation) + frozen.
-	d.MatrixBytes += cells
+	// cur + prev, plus frozen; lab is allocated regardless of Alpha, once
+	// per Computation.
+	d.MatrixBytes = 2*8*cells + cells
 	if ownsLab {
 		d.MatrixBytes += 8 * cells
 	}
-	// small: fast path only.
-	if cfg.FastPath && cfg.EstimateI < 0 {
-		d.MatrixBytes += cells
-	}
 
-	// Pre-set tables. In-edges of the (possibly reversed) graphs: each edge
-	// contributes one int offset + one float64 frequency per side, plus the
-	// slice headers and offset tables.
+	// Pre-set tables. In-edges of the (possibly reversed) graphs: each g1
+	// edge contributes one int offset + one float64 frequency, each g2 edge
+	// one float64 frequency (preCol2 shares the graph's pre-sets), plus the
+	// slice headers.
 	e1 := edgeEntries(g1, reversed)
 	e2 := edgeEntries(g2, reversed)
 	const sliceHeader = 24
-	d.EdgeBytes = 16*(e1+e2) + // preRow1/inF1 + preCol2/inF2 payloads
+	d.EdgeBytes = 16*e1 + 8*e2 + // preRow1/inF1 + inF2 payloads
 		4*sliceHeader*int64(n1+n2) + // their slice headers (2 per vertex per side)
-		8*int64(n1+n2) + // rowOff + colOff
 		8*int64(n1) // rowSum (lazy, but counts toward peak)
 	// Per-worker scratch: one row of the largest g2 pre-set each.
 	workers := resolveWorkers(cfg, n1, n2)

@@ -91,9 +91,8 @@ func measuredPeakHeap(t *testing.T, fn func() error) int64 {
 }
 
 // TestEstimateCostTracksMeasuredPeak is the accuracy contract of the
-// resource governor's cost model: across a procgen size sweep, worker counts
-// 1/2/8, and tiled on/off, the predicted peak engine heap stays within a
-// factor of two of the measured high-water mark. Tighter would fight the
+// resource governor's cost model: across a procgen size sweep and worker
+// counts 1/2/8, the predicted peak engine heap stays within a factor of two of the measured high-water mark. Tighter would fight the
 // allocator (size classes, GC timing); looser would make -mem-budget
 // admission decisions meaningless.
 func TestEstimateCostTracksMeasuredPeak(t *testing.T) {
@@ -107,32 +106,29 @@ func TestEstimateCostTracksMeasuredPeak(t *testing.T) {
 	for _, size := range sizes {
 		g1, g2 := costTestPair(t, size.events, size.traces)
 		for _, workers := range []int{1, 2, 8} {
-			for _, tiled := range []bool{false, true} {
-				cfg := DefaultConfig()
-				cfg.Workers = workers
-				cfg.Tiled = tiled
+			cfg := DefaultConfig()
+			cfg.Workers = workers
 
-				est := EstimateCost(g1, g2, cfg)
-				if est.Bytes <= 0 || est.Evals <= 0 {
-					t.Fatalf("events=%d workers=%d tiled=%v: empty estimate %+v",
-						size.events, workers, tiled, est)
-				}
-				measured := measuredPeakHeap(t, func() error {
-					_, err := Compute(g1, g2, cfg)
-					return err
-				})
-				if measured <= 0 {
-					t.Fatalf("events=%d workers=%d tiled=%v: sampler measured nothing",
-						size.events, workers, tiled)
-				}
-				ratio := float64(est.Bytes) / float64(measured)
-				t.Logf("events=%-4d traces=%-4d workers=%d tiled=%-5v predicted=%8.2fKiB measured=%8.2fKiB ratio=%.2f",
-					size.events, size.traces, workers, tiled,
-					float64(est.Bytes)/1024, float64(measured)/1024, ratio)
-				if ratio < 0.5 || ratio > 2.0 {
-					t.Errorf("events=%d traces=%d workers=%d tiled=%v: predicted %d bytes vs measured %d (ratio %.2f, want within 2x)",
-						size.events, size.traces, workers, tiled, est.Bytes, measured, ratio)
-				}
+			est := EstimateCost(g1, g2, cfg)
+			if est.Bytes <= 0 || est.Evals <= 0 {
+				t.Fatalf("events=%d workers=%d: empty estimate %+v",
+					size.events, workers, est)
+			}
+			measured := measuredPeakHeap(t, func() error {
+				_, err := Compute(g1, g2, cfg)
+				return err
+			})
+			if measured <= 0 {
+				t.Fatalf("events=%d workers=%d: sampler measured nothing",
+					size.events, workers)
+			}
+			ratio := float64(est.Bytes) / float64(measured)
+			t.Logf("events=%-4d traces=%-4d workers=%d predicted=%8.2fKiB measured=%8.2fKiB ratio=%.2f",
+				size.events, size.traces, workers,
+				float64(est.Bytes)/1024, float64(measured)/1024, ratio)
+			if ratio < 0.5 || ratio > 2.0 {
+				t.Errorf("events=%d traces=%d workers=%d: predicted %d bytes vs measured %d (ratio %.2f, want within 2x)",
+					size.events, size.traces, workers, est.Bytes, measured, ratio)
 			}
 		}
 	}

@@ -27,19 +27,11 @@ type dirEngine struct {
 	// l1, l2 are the longest distances l(v) from the artificial event.
 	l1, l2 []int
 	// cur and prev are the S^i and S^{i-1} matrices over all vertex pairs,
-	// stored either row-major or as flat blocked 64x64 tiles (Config.Tiled).
-	// The layout is abstracted by the offset tables below: the cell (i,j)
-	// lives at rowOff[i]+colOff[j] in either layout, so the hot loops are
-	// layout-free and results are bit-identical across layouts.
+	// row-major: the cell (i,j) lives at i*n2+j.
 	cur, prev []float64
-	// rowOff and colOff are the layout offset tables; matLen is the backing
-	// length of cur/prev (padded to whole tiles when tiled).
-	rowOff, colOff []int
-	matLen         int
-	// preRow1[v1][i] = rowOff[g1.Pre[v1][i]] and preCol2[v2][j] =
-	// colOff[g2.Pre[v2][j]]: the pre-sets pre-translated into matrix
-	// offsets, so the innermost similarity loop does one add per cell
-	// instead of an index computation.
+	// preRow1[v1][i] = g1.Pre[v1][i]*n2 is the pre-set pre-multiplied into
+	// row offsets (preCol2[v2] is g2.Pre[v2] itself), so the innermost
+	// similarity loop does one add per cell instead of an index computation.
 	preRow1, preCol2 [][]int
 	// inF1[v]/inF2[v] are the in-edge frequencies aligned with Pre[v],
 	// extracted once from the EdgeFreq maps so the agreement-cache build is
@@ -47,7 +39,7 @@ type dirEngine struct {
 	inF1, inF2 [][]float64
 	// frozen marks pairs that must never be updated: pairs involving an
 	// artificial event, and pairs seeded from a previous result whose value
-	// is provably unchanged (Proposition 4). Indexed logically (i*n2+j).
+	// is provably unchanged (Proposition 4).
 	frozen []bool
 
 	// Agreement cache. The edge-agreement factor C(...) = c*(1-|f1-f2|/(f1+f2))
@@ -114,19 +106,13 @@ type dirEngine struct {
 
 	// Fast-path state (Config.FastPath). fast is armed when FastPath is on
 	// and no explicit EstimateI overrides it; budget is the resolved error
-	// budget and tol the derived per-pair freeze tolerance. small[i*n2+j]
-	// counts the pair's consecutive rounds with increment <= tol; at
-	// fastFreezeStreak the pair is deactivated (smallFrozen) and skipped —
-	// the adaptive per-pair pruning that fires even on cyclic graphs whose
-	// Proposition-2 bound is infinite. The cutover detector tracks the
-	// global delta trajectory (prevDelta, prevRatio, ratioStreak): all of it
-	// is driven by order-independent reductions, so fast-path decisions are
-	// bit-identical at every worker count. errorBound is the certified
-	// a-posteriori bound once computed (see residualBound); certified
-	// latches the residual pass.
+	// budget. The cutover detector tracks the global delta trajectory
+	// (prevDelta, prevRatio, ratioStreak): it is driven by order-independent
+	// reductions, so fast-path decisions are bit-identical at every worker
+	// count. errorBound is the certified a-posteriori bound once computed
+	// (see certify); certified latches the residual pass.
 	fast        bool
-	budget, tol float64
-	small       []uint8
+	budget      float64
 	prevDelta   float64
 	prevRatio   float64
 	ratioStreak int
@@ -135,21 +121,10 @@ type dirEngine struct {
 	certified   bool
 }
 
-// Tile geometry of the blocked layout (Config.Tiled): 64x64 float64 tiles,
-// 32 KiB each — a tile row of cur plus one of prev fit comfortably in L1.
+// Fast-path tuning knobs: the ratio-based cutover needs the observed decay
+// ratio stable within ratioStabilityTol (relative) for ratioStableRounds
+// consecutive rounds before trusting the geometric-tail extrapolation.
 const (
-	tileShift = 6
-	tileSize  = 1 << tileShift
-)
-
-// Fast-path tuning knobs. A pair freezes after fastFreezeStreak consecutive
-// rounds with increment <= tol; the ratio-based cutover needs the observed
-// decay ratio stable within ratioStabilityTol (relative) for
-// ratioStableRounds consecutive rounds before trusting the geometric-tail
-// extrapolation.
-const (
-	smallFrozen       = 0xFF
-	fastFreezeStreak  = 2
 	ratioStableRounds = 3
 	ratioStabilityTol = 0.05
 )
@@ -183,13 +158,13 @@ func newDirEngine(g1, g2 *depgraph.Graph, cfg Config, pool *rowPool, lab []float
 	e.bufs = make([][]int64, e.workers)
 	e.deltaW = make([]float64, e.workers)
 	e.evalW = make([]int, e.workers)
-	e.buildLayout()
+	e.buildPreSets()
 	e.lab = lab
 	if lab == nil {
 		e.buildLabels()
 	}
-	e.cur = make([]float64, e.matLen)
-	e.prev = make([]float64, e.matLen)
+	e.cur = make([]float64, e.n1*e.n2)
+	e.prev = make([]float64, e.n1*e.n2)
 	e.frozen = make([]bool, e.n1*e.n2)
 	// Initialization: S^0(v^X, v^X) = 1; artificial/real pairs stay 0 and
 	// are never updated.
@@ -204,19 +179,6 @@ func newDirEngine(g1, g2 *depgraph.Graph, cfg Config, pool *rowPool, lab []float
 	e.fast = cfg.FastPath && cfg.EstimateI < 0
 	if e.fast {
 		e.budget = cfg.fastPathBudget()
-		// tol is the per-pair freeze threshold: a pair whose increment
-		// stayed at or below tol for fastFreezeStreak rounds is deactivated.
-		// Its pending tail — roughly tol/(1-r) for the observed decay ratio
-		// r — stays within the budget for the geometric trajectories the
-		// cutover detector requires anyway, and the certifying residual pass
-		// measures whatever was actually left behind, so tol trades speed
-		// against the certified bound, never against correctness.
-		e.tol = e.budget * (1 - cfg.Alpha*cfg.C) / 2
-		if e.tol > e.budget/4 {
-			e.tol = e.budget / 4
-		}
-		e.small = make([]uint8, e.n1*e.n2)
-		e.prefilterHopeless()
 	}
 	endSpan := e.span("agreement-cache")
 	e.buildAgreementCache()
@@ -248,39 +210,9 @@ func (e *dirEngine) buildLabels() {
 	})
 }
 
-// buildLayout computes the offset tables mapping the logical cell (i,j) to
-// rowOff[i]+colOff[j] in the cur/prev backing arrays — plain row-major, or
-// flat blocked 64x64 tiles when Config.Tiled. It also pre-translates the
-// graphs' pre-sets into matrix offsets for the hot inner loop. The layout
-// never changes any arithmetic: the same cells hold the same values, only
-// their addresses move.
-func (e *dirEngine) buildLayout() {
-	e.rowOff = make([]int, e.n1)
-	e.colOff = make([]int, e.n2)
-	if e.cfg.Tiled {
-		// Tiles are laid out band-major: all tiles of rows [0,64) first,
-		// then rows [64,128), ... Within a band, tiles follow column order;
-		// within a tile, cells are row-major. Dimensions are padded to whole
-		// tiles (the padding cells are never addressed).
-		tilesPerBand := (e.n2 + tileSize - 1) >> tileShift
-		bandStride := tilesPerBand << (2 * tileShift)
-		for i := range e.rowOff {
-			e.rowOff[i] = (i>>tileShift)*bandStride + (i&(tileSize-1))<<tileShift
-		}
-		for j := range e.colOff {
-			e.colOff[j] = (j>>tileShift)<<(2*tileShift) + j&(tileSize-1)
-		}
-		bands := (e.n1 + tileSize - 1) >> tileShift
-		e.matLen = bands * bandStride
-	} else {
-		for i := range e.rowOff {
-			e.rowOff[i] = i * e.n2
-		}
-		for j := range e.colOff {
-			e.colOff[j] = j
-		}
-		e.matLen = e.n1 * e.n2
-	}
+// buildPreSets tables the graphs' pre-sets for the hot inner loop: g1's
+// pre-multiplied into row offsets, both with their in-edge frequencies.
+func (e *dirEngine) buildPreSets() {
 	e.preRow1 = make([][]int, e.n1)
 	e.inF1 = make([][]float64, e.n1)
 	for v := 1; v < e.n1; v++ {
@@ -291,7 +223,7 @@ func (e *dirEngine) buildLayout() {
 		offs := make([]int, len(pre))
 		fs := make([]float64, len(pre))
 		for i, p := range pre {
-			offs[i] = e.rowOff[p]
+			offs[i] = p * e.n2
 			fs[i] = e.g1.EdgeFreq[p][v]
 		}
 		e.preRow1[v] = offs
@@ -304,13 +236,11 @@ func (e *dirEngine) buildLayout() {
 		if len(pre) == 0 {
 			continue
 		}
-		offs := make([]int, len(pre))
 		fs := make([]float64, len(pre))
 		for j, p := range pre {
-			offs[j] = e.colOff[p]
 			fs[j] = e.g2.EdgeFreq[p][v]
 		}
-		e.preCol2[v] = offs
+		e.preCol2[v] = pre
 		e.inF2[v] = fs
 	}
 }
@@ -443,45 +373,8 @@ func convergenceBound(l1, l2 []int) int {
 // never updates it. Used by composite matching for pairs whose value is
 // provably unchanged (Proposition 4).
 func (e *dirEngine) seed(i, j int, v float64) {
-	e.cur[e.rowOff[i]+e.colOff[j]] = v
+	e.cur[i*e.n2+j] = v
 	e.frozen[i*e.n2+j] = true
-}
-
-// prefilterHopeless deactivates pairs that are provably stuck at zero before
-// the first round: a vertex with no in-edges contributes no structural part,
-// so a pair involving one evaluates to (1-alpha)*S^L from round 1 on — when
-// that label part is zero too, the pair already sits at its fixpoint. The
-// filter is exact (it spends no error budget; the certifying residual pass
-// still re-evaluates the pairs). Graphs straight from AddArtificial give
-// every real vertex an artificial in-edge, so this fires only on degenerate
-// inputs such as frequency-filtered graphs with isolated vertices.
-func (e *dirEngine) prefilterHopeless() {
-	empty1 := make([]bool, e.n1)
-	any := false
-	for v1 := 1; v1 < e.n1; v1++ {
-		if len(e.g1.Pre[v1]) == 0 {
-			empty1[v1] = true
-			any = true
-		}
-	}
-	empty2 := make([]bool, e.n2)
-	for v2 := 1; v2 < e.n2; v2++ {
-		if len(e.g2.Pre[v2]) == 0 {
-			empty2[v2] = true
-			any = true
-		}
-	}
-	if !any {
-		return
-	}
-	for v1 := 1; v1 < e.n1; v1++ {
-		row := v1 * e.n2
-		for v2 := 1; v2 < e.n2; v2++ {
-			if (empty1[v1] || empty2[v2]) && e.lab[row+v2] == 0 {
-				e.small[row+v2] = smallFrozen
-			}
-		}
-	}
 }
 
 // edgeAgreement returns C(v1,v1',v2,v2') for the in-edges (p1,v1) of g1
@@ -597,7 +490,6 @@ func (e *dirEngine) step() (float64, error) {
 		e.deltaW[w] = 0
 		e.evalW[w] = 0
 	}
-	fast := e.fast
 	e.forRows(1, e.n1, func(w, lo, hi int) {
 		if e.checkStop() != nil {
 			return
@@ -606,13 +498,9 @@ func (e *dirEngine) step() (float64, error) {
 		evals := 0
 		for v1 := lo; v1 < hi; v1++ {
 			row := v1 * e.n2
-			mrow := e.rowOff[v1]
 			for v2 := 1; v2 < e.n2; v2++ {
 				idx := row + v2
 				if e.frozen[idx] {
-					continue
-				}
-				if fast && e.small[idx] == smallFrozen {
 					continue
 				}
 				if e.cfg.Prune && e.round > min(e.l1[v1], e.l2[v2]) {
@@ -621,27 +509,10 @@ func (e *dirEngine) step() (float64, error) {
 				s12, s21 := e.oneSides(v1, v2, w)
 				v := e.cfg.Alpha*(s12+s21)/2 + (1-e.cfg.Alpha)*e.lab[idx]
 				evals++
-				midx := mrow + e.colOff[v2]
-				d := math.Abs(v - e.prev[midx])
-				if d > maxDelta {
+				if d := math.Abs(v - e.prev[idx]); d > maxDelta {
 					maxDelta = d
 				}
-				e.cur[midx] = v
-				if fast {
-					// Track the pair's own increment: two consecutive rounds
-					// at or below tol deactivate it for the rest of the run
-					// (the unapplied tail is covered by the error budget and
-					// certified by the residual pass).
-					if d <= e.tol {
-						if s := e.small[idx] + 1; s >= fastFreezeStreak {
-							e.small[idx] = smallFrozen
-						} else {
-							e.small[idx] = s
-						}
-					} else if e.small[idx] != 0 {
-						e.small[idx] = 0
-					}
-				}
+				e.cur[idx] = v
 			}
 		}
 		if maxDelta > e.deltaW[w] {
@@ -784,8 +655,9 @@ func (e *dirEngine) run() error {
 
 // finish completes the non-iterative tail of a run: the closed-form
 // estimation pass when one is owed (explicit EstimateI, or a fast-path
-// cutover) and, on the fast path, the residual pass that certifies the
-// error bound. Idempotent — estimate and residualBound both latch.
+// cutover) and, on the fast path, the certification. Idempotent — estimate
+// and residualBound both latch, and certify's loop ends in a state that
+// does not re-enter it.
 func (e *dirEngine) finish() error {
 	if !e.converged && (e.cfg.EstimateI >= 0 || e.cutover) {
 		if err := e.estimate(); err != nil {
@@ -793,7 +665,29 @@ func (e *dirEngine) finish() error {
 		}
 	}
 	if e.fast {
-		return e.residualBound()
+		return e.certify()
+	}
+	return nil
+}
+
+// certify makes the fast path's certificate fit its budget. It runs the
+// residual pass and then, while the certified bound still exceeds the
+// budget, further exact rounds: after a round with maximum increment delta
+// the new iterate lies within delta*ac/(1-ac) of the fixpoint (Banach), and
+// that bound replaces the previous one. It stops once the bound fits the
+// budget or at MaxRounds, so Result.ErrorBound exceeds the budget only on a
+// run that hit the round cap.
+func (e *dirEngine) certify() error {
+	if err := e.residualBound(); err != nil {
+		return err
+	}
+	ac := e.cfg.Alpha * e.cfg.C
+	for e.errorBound > e.budget && e.round < e.cfg.MaxRounds {
+		delta, err := e.step()
+		if err != nil {
+			return err
+		}
+		e.errorBound = delta * ac / (1 - ac)
 	}
 	return nil
 }
@@ -842,23 +736,18 @@ func (e *dirEngine) estimate() error {
 			return
 		}
 		for v1 := lo; v1 < hi; v1++ {
-			mrow := e.rowOff[v1]
 			for v2 := 1; v2 < e.n2; v2++ {
 				idx := v1*e.n2 + v2
 				if e.frozen[idx] {
 					continue
 				}
-				if fastCut && e.small[idx] == smallFrozen {
-					continue // deactivated pair: its tail is inside the budget
-				}
 				h := min(e.l1[v1], e.l2[v2])
 				if h <= I {
 					continue // already exact
 				}
-				midx := mrow + e.colOff[v2]
 				a, q := e.estimationCoefficients(v1, v2)
 				if I >= 2 {
-					if fit := e.cur[midx] - q*e.prev[midx]; fit >= 0 {
+					if fit := e.cur[idx] - q*e.prev[idx]; fit >= 0 {
 						a = fit
 					}
 				}
@@ -867,23 +756,23 @@ func (e *dirEngine) estimate() error {
 					est = a / (1 - q)
 				} else {
 					pw := math.Pow(q, float64(h-I))
-					est = pw*e.cur[midx] + a*(1-pw)/(1-q)
+					est = pw*e.cur[idx] + a*(1-pw)/(1-q)
 				}
-				if est > e.cur[midx]+window {
-					est = e.cur[midx] + window
+				if est > e.cur[idx]+window {
+					est = e.cur[idx] + window
 				}
 				// The exact S^I is a lower bound of the true similarity
 				// (Theorem 1 monotonicity), so never estimate below it —
 				// except after a warm start, where the fixpoint may sit
 				// below the seeded iterate, bounded by the window.
-				floor := e.cur[midx]
+				floor := e.cur[idx]
 				if e.warmed && fastCut {
-					floor = e.cur[midx] - window
+					floor = e.cur[idx] - window
 				}
 				if est < floor {
 					est = floor
 				}
-				e.cur[midx] = clamp01(est)
+				e.cur[idx] = clamp01(est)
 			}
 		}
 	})
@@ -893,8 +782,8 @@ func (e *dirEngine) estimate() error {
 // residualBound certifies the fast path's output: it evaluates one full
 // round of formula (1) over the final matrix S and converts the maximum
 // residual into the a-posteriori Banach bound, valid for any starting point
-// (cold or warm), any freezing heuristic and any estimate — whatever the
-// fast path did to get here, the bound holds.
+// (cold or warm) and any estimate — whatever the fast path did to get here,
+// the bound holds.
 //
 // After an estimation pass the computed round F(S) is also published as the
 // final matrix: the round has been paid for, and the contraction maps it a
@@ -923,7 +812,6 @@ func (e *dirEngine) residualBound() error {
 		var maxRes float64
 		for v1 := lo; v1 < hi; v1++ {
 			row := v1 * e.n2
-			mrow := e.rowOff[v1]
 			for v2 := 1; v2 < e.n2; v2++ {
 				idx := row + v2
 				if e.frozen[idx] {
@@ -931,12 +819,11 @@ func (e *dirEngine) residualBound() error {
 				}
 				s12, s21 := e.oneSides(v1, v2, w)
 				v := e.cfg.Alpha*(s12+s21)/2 + (1-e.cfg.Alpha)*e.lab[idx]
-				midx := mrow + e.colOff[v2]
-				if d := math.Abs(v - e.prev[midx]); d > maxRes {
+				if d := math.Abs(v - e.prev[idx]); d > maxRes {
 					maxRes = d
 				}
 				if publish {
-					e.cur[midx] = v
+					e.cur[idx] = v
 				}
 			}
 		}
@@ -1014,10 +901,9 @@ func (e *dirEngine) upperBoundSum() (float64, error) {
 		}
 		for v1 := lo; v1 < hi; v1++ {
 			var sum float64
-			mrow := e.rowOff[v1]
 			for v2 := 1; v2 < e.n2; v2++ {
 				idx := v1*e.n2 + v2
-				s := e.cur[mrow+e.colOff[v2]]
+				s := e.cur[idx]
 				if e.frozen[idx] {
 					sum += s
 					continue
@@ -1060,10 +946,7 @@ func (e *dirEngine) realMatrix() []float64 {
 	r1, r2 := e.n1-1, e.n2-1
 	out := make([]float64, r1*r2)
 	for i := 0; i < r1; i++ {
-		mrow := e.rowOff[i+1]
-		for j := 0; j < r2; j++ {
-			out[i*r2+j] = e.cur[mrow+e.colOff[j+1]]
-		}
+		copy(out[i*r2:(i+1)*r2], e.cur[(i+1)*e.n2+1:(i+2)*e.n2])
 	}
 	return out
 }

@@ -4,9 +4,6 @@ import (
 	"fmt"
 	"math"
 	"testing"
-
-	"repro/internal/depgraph"
-	"repro/internal/eventlog"
 )
 
 // fastConfig is DefaultConfig with the adaptive fast path switched on, the
@@ -19,11 +16,11 @@ func fastConfig() Config {
 
 // TestFastPathConvergenceRegression pins the headline claim of the fast
 // path on a bench-shaped procedurally generated workload: the adaptive
-// cutover must at least halve the number of exact iteration rounds, and the
-// per-pair freezing must actually skip work (non-zero pruned counts, both in
-// the final Result and in the per-round observer stream). A change that
-// silently disables the cutover detector or the freezing pass fails here
-// even though results would still be correct.
+// cutover must at least halve the number of exact iteration rounds, and
+// Proposition-2 pruning must still skip work alongside it (non-zero pruned
+// counts, both in the final Result and in the per-round observer stream).
+// A change that silently disables the cutover detector or pruning on the
+// fast path fails here even though results would still be correct.
 func TestFastPathConvergenceRegression(t *testing.T) {
 	g1, g2 := procgenGraphs(t, 2014, 100, 200)
 
@@ -164,9 +161,9 @@ func TestFastPathErrorWithinBound(t *testing.T) {
 }
 
 // TestFastPathDeterministic checks that the adaptive fast path — cutover
-// detection, per-pair freezing and the certification pass — is bit-identical
-// at every worker count and with either matrix layout. The cutover decision
-// reads only the order-independent global max delta, so nothing may vary.
+// detection, estimate and certification — is bit-identical at every worker
+// count. The cutover decision reads only the order-independent global max
+// delta, so nothing may vary.
 func TestFastPathDeterministic(t *testing.T) {
 	g1, g2 := procgenGraphs(t, 2014, 30, 90)
 	base := fastConfig()
@@ -178,156 +175,23 @@ func TestFastPathDeterministic(t *testing.T) {
 	if !serial.Estimated {
 		t.Fatal("fast path never cut over on the determinism workload")
 	}
-	for _, workers := range []int{1, 2, 8} {
-		for _, tiled := range []bool{false, true} {
-			if workers == 1 && !tiled {
-				continue
-			}
-			cfg := base
-			cfg.Workers = workers
-			cfg.Tiled = tiled
-			got, err := Compute(g1, g2, cfg)
-			if err != nil {
-				t.Fatalf("workers=%d tiled=%v Compute: %v", workers, tiled, err)
-			}
-			label := fmt.Sprintf("fast workers=%d tiled=%v", workers, tiled)
-			requireBitIdentical(t, serial, got, label)
-			if got.Estimated != serial.Estimated {
-				t.Errorf("%s: Estimated %v != serial %v", label, got.Estimated, serial.Estimated)
-			}
-			if got.ErrorBound != serial.ErrorBound {
-				t.Errorf("%s: ErrorBound %x != serial %x", label, got.ErrorBound, serial.ErrorBound)
-			}
-			if got.Pruned != serial.Pruned {
-				t.Errorf("%s: Pruned %d != serial %d", label, got.Pruned, serial.Pruned)
-			}
-		}
-	}
-}
-
-// TestExactTiledBitIdentical extends the equivalence matrix to the blocked
-// layout in exact mode: tiling is a pure storage change, so exact runs must
-// reproduce the serial row-major bits at every worker count, with and
-// without pruning and labels.
-func TestExactTiledBitIdentical(t *testing.T) {
-	g1, g2 := procgenGraphs(t, 7, 12, 40)
-	cases := []struct {
-		name   string
-		mutate func(*Config)
-	}{
-		{"default", func(c *Config) {}},
-		{"noprune", func(c *Config) { c.Prune = false }},
-		{"labels", func(c *Config) { c.Alpha = 0.7; c.Labels = testLabelSim }},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			base := DefaultConfig()
-			tc.mutate(&base)
-			base.Workers = 1
-			base.Tiled = false
-			serial, err := Compute(g1, g2, base)
-			if err != nil {
-				t.Fatalf("serial Compute: %v", err)
-			}
-			for _, workers := range []int{1, 2, 8} {
-				cfg := base
-				cfg.Workers = workers
-				cfg.Tiled = true
-				got, err := Compute(g1, g2, cfg)
-				if err != nil {
-					t.Fatalf("tiled workers=%d Compute: %v", workers, err)
-				}
-				requireBitIdentical(t, serial, got, fmt.Sprintf("tiled workers=%d", workers))
-			}
-		})
-	}
-}
-
-// TestFastPathPrefilterHopeless covers the label-matrix pre-filter: on a
-// frequency-filtered graph where a rare event loses all its in-edges
-// (including the artificial one), every pair involving that event is
-// provably stuck at similarity zero when its label part is zero, and the
-// fast path deactivates those pairs before the first round. The skips must
-// show up in the very first observation, and the frozen pairs must agree
-// exactly with the exact fixpoint (which also leaves them at zero).
-func TestFastPathPrefilterHopeless(t *testing.T) {
-	mk := func(name, rare string) *eventlog.Log {
-		l := eventlog.New(name)
-		for i := 0; i < 9; i++ {
-			l.Append(eventlog.Trace{"a", "b", "c"})
-		}
-		l.Append(eventlog.Trace{"a", rare, "c"})
-		return l
-	}
-	build := func(l *eventlog.Log) *depgraph.Graph {
-		t.Helper()
-		g, err := depgraph.Build(l)
+	for _, workers := range []int{2, 8} {
+		cfg := base
+		cfg.Workers = workers
+		got, err := Compute(g1, g2, cfg)
 		if err != nil {
-			t.Fatalf("Build %s: %v", l.Name, err)
+			t.Fatalf("workers=%d Compute: %v", workers, err)
 		}
-		ga, err := g.AddArtificial()
-		if err != nil {
-			t.Fatalf("AddArtificial %s: %v", l.Name, err)
+		label := fmt.Sprintf("fast workers=%d", workers)
+		requireBitIdentical(t, serial, got, label)
+		if got.Estimated != serial.Estimated {
+			t.Errorf("%s: Estimated %v != serial %v", label, got.Estimated, serial.Estimated)
 		}
-		// Threshold 0.2 removes every edge touching the rare event,
-		// whose relative frequency is 0.1 — artificial edges included.
-		return ga.FilterMinFrequency(0.2)
-	}
-	g1 := build(mk("L1", "d"))
-	g2 := build(mk("L2", "e"))
-
-	rare1 := -1
-	for v, pre := range g1.Pre {
-		if g1.Names[v] == "d" {
-			rare1 = v
-			if len(pre) != 0 {
-				t.Fatalf("precondition: rare event %q still has %d in-edges after filtering", "d", len(pre))
-			}
+		if got.ErrorBound != serial.ErrorBound {
+			t.Errorf("%s: ErrorBound %x != serial %x", label, got.ErrorBound, serial.ErrorBound)
 		}
-	}
-	if rare1 < 0 {
-		t.Fatal("precondition: rare event missing from filtered graph")
-	}
-
-	cfg := fastConfig()
-	cfg.Direction = Forward
-	var first *RoundObservation
-	cfg.OnRound = func(b *RoundBoundary) {
-		if first == nil {
-			first = &b.RoundObservation
-		}
-	}
-	fast, err := Compute(g1, g2, cfg)
-	if err != nil {
-		t.Fatalf("fast Compute: %v", err)
-	}
-	if first == nil {
-		t.Fatal("observer never called")
-	}
-	if first.Dirs[0].RoundPruned <= 0 {
-		t.Errorf("first round pruned %d pairs, want > 0 (pre-filter did not fire)", first.Dirs[0].RoundPruned)
-	}
-
-	ecfg := DefaultConfig()
-	ecfg.Direction = Forward
-	exact, err := Compute(g1, g2, ecfg)
-	if err != nil {
-		t.Fatalf("exact Compute: %v", err)
-	}
-	// Every pair involving the dangling rare event must be exactly zero in
-	// both results: the pre-filter is a proof, not an approximation.
-	for j, name2 := range exact.Names2 {
-		i := -1
-		for k, n := range exact.Names1 {
-			if n == "d" {
-				i = k
-			}
-		}
-		if i < 0 {
-			t.Fatal("rare event missing from result names")
-		}
-		if e, f := exact.At(i, j), fast.At(i, j); e != 0 || f != 0 {
-			t.Errorf("pair (d,%s): exact=%g fast=%g, want both 0", name2, e, f)
+		if got.Pruned != serial.Pruned {
+			t.Errorf("%s: Pruned %d != serial %d", label, got.Pruned, serial.Pruned)
 		}
 	}
 }

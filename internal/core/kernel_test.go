@@ -8,31 +8,42 @@ import (
 )
 
 // naiveOneSides is s(v1,v2) and s(v2,v1) of Definition 2 written straight
-// from the definition: the builtin max, edgeAgreement, and the logical
-// n1 x n2 matrix p in place of the engine's prev layout.
+// from the definition: the builtin max, edgeAgreement, and the n1 x n2
+// matrix p in place of the engine's prev.
 func naiveOneSides(e *dirEngine, p []float64, v1, v2 int) (s12, s21 float64) {
 	pre1, pre2 := e.g1.Pre[v1], e.g2.Pre[v2]
-	if len(pre1) == 0 || len(pre2) == 0 {
+	terms := make([]float64, 0, len(pre1)*len(pre2))
+	for _, p1 := range pre1 {
+		for _, p2 := range pre2 {
+			terms = append(terms, e.edgeAgreement(p1, v1, p2, v2)*p[p1*e.n2+p2])
+		}
+	}
+	return definitionOneSides(terms, len(pre1), len(pre2))
+}
+
+// definitionOneSides evaluates Definition 2 from the a x b row-major matrix
+// of terms C(...)*S(pre1[i], pre2[j]): for each in-neighbor of one event the
+// best term against the in-neighbors of the other (builtin max, starting at
+// 0), summed in pre-set order and averaged.
+func definitionOneSides(terms []float64, a, b int) (s12, s21 float64) {
+	if a == 0 || b == 0 {
 		return 0, 0
 	}
-	term := func(p1, p2 int) float64 {
-		return e.edgeAgreement(p1, v1, p2, v2) * p[p1*e.n2+p2]
-	}
-	for _, p1 := range pre1 {
+	for i := 0; i < a; i++ {
 		best := 0.0
-		for _, p2 := range pre2 {
-			best = max(best, term(p1, p2))
+		for j := 0; j < b; j++ {
+			best = max(best, terms[i*b+j])
 		}
 		s12 += best
 	}
-	for _, p2 := range pre2 {
+	for j := 0; j < b; j++ {
 		best := 0.0
-		for _, p1 := range pre1 {
-			best = max(best, term(p1, p2))
+		for i := 0; i < a; i++ {
+			best = max(best, terms[i*b+j])
 		}
 		s21 += best
 	}
-	return s12 / float64(len(pre1)), s21 / float64(len(pre2))
+	return s12 / float64(a), s21 / float64(b)
 }
 
 // kernelTestMatrix returns a logical n1 x n2 prev matrix mixing uniform
@@ -66,7 +77,7 @@ func kernelTestMatrix(rng *rand.Rand, n1, n2 int) []float64 {
 // TestKernelMatchesDefinition requires the formula-(1) kernel to reproduce
 // the naive Definition-2 evaluation bit for bit on random procgen graphs:
 // through oneSides directly and through a full round, with and without the
-// agreement cache, in both layouts and at one and two workers.
+// agreement cache and at one and two workers.
 func TestKernelMatchesDefinition(t *testing.T) {
 	for _, size := range []struct {
 		seed       int64
@@ -74,29 +85,26 @@ func TestKernelMatchesDefinition(t *testing.T) {
 	}{{3, 20}, {4, 70}} {
 		g1, g2 := procgenGraphs(t, size.seed, size.activities, 60)
 		for _, cached := range []bool{true, false} {
-			for _, tiled := range []bool{false, true} {
-				for _, workers := range []int{1, 2} {
-					name := fmt.Sprintf("n=%d/cached=%v/tiled=%v/workers=%d", size.activities, cached, tiled, workers)
-					t.Run(name, func(t *testing.T) {
-						if !cached {
-							old := agreeCacheLimit
-							agreeCacheLimit = 0
-							defer func() { agreeCacheLimit = old }()
-						}
-						cfg := DefaultConfig()
-						cfg.Prune = false
-						cfg.Tiled = tiled
-						cfg.Workers = workers
-						c, err := NewComputation(g1, g2, cfg, nil)
-						if err != nil {
-							t.Fatal(err)
-						}
-						rng := rand.New(rand.NewSource(size.seed))
-						for _, e := range c.engines() {
-							checkKernel(t, e, rng, cached, workers)
-						}
-					})
-				}
+			for _, workers := range []int{1, 2} {
+				name := fmt.Sprintf("n=%d/cached=%v/workers=%d", size.activities, cached, workers)
+				t.Run(name, func(t *testing.T) {
+					if !cached {
+						old := agreeCacheLimit
+						agreeCacheLimit = 0
+						defer func() { agreeCacheLimit = old }()
+					}
+					cfg := DefaultConfig()
+					cfg.Prune = false
+					cfg.Workers = workers
+					c, err := NewComputation(g1, g2, cfg, nil)
+					if err != nil {
+						t.Fatal(err)
+					}
+					rng := rand.New(rand.NewSource(size.seed))
+					for _, e := range c.engines() {
+						checkKernel(t, e, rng, cached, workers)
+					}
+				})
 			}
 		}
 	}
@@ -111,11 +119,7 @@ func checkKernel(t *testing.T, e *dirEngine, rng *rand.Rand, cached bool, worker
 		t.Fatalf("engine runs %d workers, want %d", e.workers, workers)
 	}
 	p := kernelTestMatrix(rng, e.n1, e.n2)
-	for i := 0; i < e.n1; i++ {
-		for j := 0; j < e.n2; j++ {
-			e.cur[e.rowOff[i]+e.colOff[j]] = p[i*e.n2+j]
-		}
-	}
+	copy(e.cur, p)
 	// The round copies cur into prev and evaluates every real pair.
 	if _, err := e.step(); err != nil {
 		t.Fatal(err)
@@ -132,7 +136,7 @@ func checkKernel(t *testing.T, e *dirEngine, rng *rand.Rand, cached bool, worker
 				t.Fatalf("(%d,%d): oneSides = (%x, %x), definition gives (%x, %x)", v1, v2, got12, got21, want12, want21)
 			}
 			want := e.cfg.Alpha*(want12+want21)/2 + (1-e.cfg.Alpha)*e.lab[v1*e.n2+v2]
-			if got := e.cur[e.rowOff[v1]+e.colOff[v2]]; !same(got, want) {
+			if got := e.cur[v1*e.n2+v2]; !same(got, want) {
 				t.Fatalf("(%d,%d): round wrote %x, definition gives %x", v1, v2, got, want)
 			}
 		}

@@ -4,6 +4,7 @@ import (
 	"strconv"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/dataset"
 	"repro/internal/matching"
@@ -113,9 +114,29 @@ func TestFig5EstimationTradeoff(t *testing.T) {
 	// Time: I=0 must not be notably more expensive than MAX. At quick
 	// scale both are sub-millisecond and dominated by constant setup costs,
 	// so only flag a 2x blowup; the full-scale run in EXPERIMENTS.md shows
-	// the order-of-magnitude gap.
-	if cell(t, first[2]) > 2*cell(t, last[2]) {
-		t.Errorf("I=0 time %s far exceeds MAX time %s", first[2], last[2])
+	// the order-of-magnitude gap. The table's times come from one run each,
+	// which a load spike can move, so the test times the two itself:
+	// interleaved runs, the fastest of each.
+	pairs, err := QuickScale().testbed(dataset.DSFB, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fastest := func(m Method, best *time.Duration) {
+		start := time.Now()
+		if _, err := RunMethod(m, pairs); err != nil {
+			t.Fatalf("%s: %v", m.Name, err)
+		}
+		if d := time.Since(start); *best == 0 || d < *best {
+			*best = d
+		}
+	}
+	var i0T, maxT time.Duration
+	for i := 0; i < 7; i++ {
+		fastest(EMSEstimate(0, false), &i0T)
+		fastest(EMS(false), &maxT)
+	}
+	if i0T > 2*maxT {
+		t.Errorf("I=0 time %v far exceeds MAX time %v", i0T, maxT)
 	}
 }
 
