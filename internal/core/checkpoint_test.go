@@ -19,7 +19,11 @@ func TestCheckpointedRunBitIdenticalAndResumable(t *testing.T) {
 		{"estimate3", func(c *Config) { c.EstimateI = 3 }},
 		{"workers4", func(c *Config) { c.Workers = 4 }},
 		{"labels", func(c *Config) { c.Alpha = 0.7; c.Labels = testLabelSim }},
+		// Tiled is deprecated and ignored; these cases pin that callers
+		// still setting it get the same, resumable results.
+		{"tiled", func(c *Config) { c.Tiled = true }},
 		{"fastpath", func(c *Config) { c.FastPath = true }},
+		{"fastpath-tiled", func(c *Config) { c.FastPath = true; c.Tiled = true }},
 	}
 	g1, g2 := procgenGraphs(t, 7, 12, 40)
 	for _, tc := range cases {
@@ -52,9 +56,9 @@ func TestCheckpointedRunBitIdenticalAndResumable(t *testing.T) {
 			}
 
 			// Resuming from every captured checkpoint — after a
-			// serialization round-trip and under a different worker budget —
-			// must reproduce the baseline exactly. For the fast-path case
-			// this includes checkpoints taken before the cutover, so the
+			// serialization round-trip, under a different worker budget and
+			// with the deprecated Tiled flag flipped — must reproduce the
+			// baseline exactly. For the fast-path cases this includes checkpoints taken before the cutover, so the
 			// detector state (delta history, ratio streak) round-trips too.
 			for k, cp := range cps {
 				data, err := cp.MarshalBinary()
@@ -66,6 +70,7 @@ func TestCheckpointedRunBitIdenticalAndResumable(t *testing.T) {
 					t.Fatalf("checkpoint %d: UnmarshalBinary: %v", k, err)
 				}
 				rcfg := cfg
+				rcfg.Tiled = !rcfg.Tiled // the flag must not matter on resume
 				if rcfg.Workers == 4 {
 					rcfg.Workers = 1 // resume under a different budget
 				} else {

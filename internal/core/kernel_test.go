@@ -85,26 +85,31 @@ func TestKernelMatchesDefinition(t *testing.T) {
 	}{{3, 20}, {4, 70}} {
 		g1, g2 := procgenGraphs(t, size.seed, size.activities, 60)
 		for _, cached := range []bool{true, false} {
-			for _, workers := range []int{1, 2} {
-				name := fmt.Sprintf("n=%d/cached=%v/workers=%d", size.activities, cached, workers)
-				t.Run(name, func(t *testing.T) {
-					if !cached {
-						old := agreeCacheLimit
-						agreeCacheLimit = 0
-						defer func() { agreeCacheLimit = old }()
-					}
-					cfg := DefaultConfig()
-					cfg.Prune = false
-					cfg.Workers = workers
-					c, err := NewComputation(g1, g2, cfg, nil)
-					if err != nil {
-						t.Fatal(err)
-					}
-					rng := rand.New(rand.NewSource(size.seed))
-					for _, e := range c.engines() {
-						checkKernel(t, e, rng, cached, workers)
-					}
-				})
+			// Tiled is deprecated and ignored; the kernel must follow the
+			// definition whether or not a caller still sets it.
+			for _, tiled := range []bool{false, true} {
+				for _, workers := range []int{1, 2} {
+					name := fmt.Sprintf("n=%d/cached=%v/tiled=%v/workers=%d", size.activities, cached, tiled, workers)
+					t.Run(name, func(t *testing.T) {
+						if !cached {
+							old := agreeCacheLimit
+							agreeCacheLimit = 0
+							defer func() { agreeCacheLimit = old }()
+						}
+						cfg := DefaultConfig()
+						cfg.Prune = false
+						cfg.Tiled = tiled
+						cfg.Workers = workers
+						c, err := NewComputation(g1, g2, cfg, nil)
+						if err != nil {
+							t.Fatal(err)
+						}
+						rng := rand.New(rand.NewSource(size.seed))
+						for _, e := range c.engines() {
+							checkKernel(t, e, rng, cached, workers)
+						}
+					})
+				}
 			}
 		}
 	}
