@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test race vet fmt lint check bench fuzz-smoke bench-core bench-regress crash-test cluster-test repair-test chaos-test trace-test profile metrics-check
+.PHONY: all build test race vet fmt lint check bench fuzz-smoke bench-core bench-regress crash-test cluster-test repair-test chaos-test trace-test perfbench-test profile metrics-check
 
 all: check
 
@@ -126,6 +126,13 @@ trace-test:
 	$(GO) test -race -timeout $(RACE_TIMEOUT) -run 'Trace|Span|Flight' ./internal/obs
 	$(GO) test -race -timeout $(RACE_TIMEOUT) \
 		-run 'Trace|FlightRecorder|ForwardedSubmission' ./internal/server
+
+# Self-test of the end-to-end benchmark: every perfbench workload at toy
+# size with its output checks, and its metric names against BENCHMARK.json.
+# perfbench/ is a module of its own, so `go test ./...` at the root does not
+# reach it, yet it compiles against core and composite.
+perfbench-test:
+	cd perfbench && $(GO) test ./...
 
 # Short fuzz runs over every fuzz target; CI uses this as a smoke test.
 # Each target needs its own invocation: `go test -fuzz` accepts exactly one.

@@ -85,10 +85,7 @@ func (m *Matcher) Rematch() (*Result, error) {
 	}
 	var seed *core.Seed
 	if m.prev != nil {
-		seed = &core.Seed{
-			WarmForward:  warmMap(m.prev.Names1, m.prev.Names2, m.prev.Forward),
-			WarmBackward: warmMap(m.prev.Names1, m.prev.Names2, m.prev.Backward),
-		}
+		seed = &core.Seed{From: m.prev}
 	}
 	comp, err := core.NewComputation(g1, g2, o.sim, seed)
 	if err != nil {
@@ -104,21 +101,4 @@ func (m *Matcher) Rematch() (*Result, error) {
 	m.prev = cr
 	defer o.span("select")()
 	return assemble(cr, nil, nil, o)
-}
-
-// warmMap converts a dense direction matrix into the name-keyed warm-start
-// map the core seed expects.
-func warmMap(names1, names2 []string, mat []float64) map[string]map[string]float64 {
-	if mat == nil {
-		return nil
-	}
-	out := make(map[string]map[string]float64, len(names1))
-	for i, a := range names1 {
-		row := make(map[string]float64, len(names2))
-		for j, b := range names2 {
-			row[b] = mat[i*len(names2)+j]
-		}
-		out[a] = row
-	}
-	return out
 }

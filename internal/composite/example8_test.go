@@ -38,20 +38,23 @@ func TestExample8UnchangedSimilarities(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	seed := unchangedSeed(1, base, mg, cand, cfg.Direction)
+	seed := unchangedSeed(1, base, mg, cand)
 	if seed == nil {
 		t.Fatal("no seed built")
+	}
+	if seed.Side != 1 || seed.From != base {
+		t.Fatalf("seed side %d from %p, want side 1 from the base result", seed.Side, seed.From)
 	}
 	// Example 8: AN(A) ∩ U = ... = AN(D) ∩ U = ∅, so all four forward rows
 	// are seeded.
 	for _, v := range []string{"A", "B", "C", "D"} {
-		if _, ok := seed.Forward[v]; !ok {
+		if i, ok := mg.Index[v]; !ok || !seed.Fixed[0][i] {
 			t.Errorf("forward row of %s not seeded (Proposition 4 missed it)", v)
 		}
 	}
 	// The merged node and surviving constituents must not be seeded.
 	for _, v := range []string{JoinName(cand.Events), "E", "F"} {
-		if _, ok := seed.Forward[v]; ok {
+		if i, ok := mg.Index[v]; ok && seed.Fixed[0][i] {
 			t.Errorf("changed node %q wrongly seeded", v)
 		}
 	}

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -40,11 +41,6 @@ type Result struct {
 	// Pruned counts the pair evaluations that Proposition 2 proved
 	// converged and skipped, summed over both directions and all rounds.
 	Pruned int
-
-	// idxOnce lazily builds the name-to-index maps behind Lookup, which
-	// composite matching hits once per event pair.
-	idxOnce    sync.Once
-	idx1, idx2 map[string]int
 }
 
 // At returns the combined similarity of the i-th event of graph 1 and the
@@ -65,32 +61,14 @@ func (r *Result) Avg() float64 {
 }
 
 // Lookup returns the similarity of two events by name; ok is false when
-// either name is unknown. The index maps are built on first use and shared
-// by subsequent calls, so per-pair lookups stay O(1); Lookup is safe for
-// concurrent use as long as the name slices are not mutated.
+// either name is unknown. It scans the name slices, so the first occurrence
+// of a duplicated name wins.
 func (r *Result) Lookup(a, b string) (v float64, ok bool) {
-	r.idxOnce.Do(func() {
-		r.idx1 = nameIndex(r.Names1)
-		r.idx2 = nameIndex(r.Names2)
-	})
-	i, ok1 := r.idx1[a]
-	j, ok2 := r.idx2[b]
-	if !ok1 || !ok2 {
+	i, j := slices.Index(r.Names1, a), slices.Index(r.Names2, b)
+	if i < 0 || j < 0 {
 		return 0, false
 	}
 	return r.At(i, j), true
-}
-
-// nameIndex inverts a name slice; the first occurrence wins, matching the
-// previous linear-scan behavior on duplicate names.
-func nameIndex(names []string) map[string]int {
-	idx := make(map[string]int, len(names))
-	for k, n := range names {
-		if _, dup := idx[n]; !dup {
-			idx[n] = k
-		}
-	}
-	return idx
 }
 
 // Compute runs the full similarity computation between two dependency
@@ -108,29 +86,25 @@ func Compute(g1, g2 *depgraph.Graph, cfg Config) (*Result, error) {
 	return c.Result()
 }
 
-// Seed carries previously computed similarities, keyed by event names.
+// Seed starts a computation from a previous Result, whose events are
+// matched to the new graphs' vertices by name. It has two modes.
 //
-// The Forward/Backward maps freeze pairs at their seeded value — used for
-// pairs that are provably unchanged after a composite-event merge
-// (Proposition 4); iteration skips them entirely.
+// With both Fixed masks nil it is a warm start: every pair whose two events
+// both appear in From starts at its previous value and keeps iterating. The
+// fixpoint is unique for alpha*c < 1 (the contraction argument of Theorem
+// 1), so a warm start changes how many rounds reach the fixpoint, not the
+// fixpoint; incremental rematching after log updates relies on it.
 //
-// The WarmForward/WarmBackward maps only provide starting values: the pairs
-// still iterate, but starting near the old fixpoint converges in far fewer
-// rounds. The fixpoint is unique for alpha*c < 1 (the contraction argument
-// of Theorem 1), so warm starts do not change results — they are how
-// incremental rematching after log updates stays cheap. All maps may
-// independently be nil.
+// Otherwise it freezes by Proposition 4. After a composite merge into graph
+// Side (1 or 2), Fixed[0] (forward) and Fixed[1] (backward) mark, by vertex
+// index of that graph, the events whose similarities the merge provably
+// left unchanged. Their whole rows (Side 1) or columns (Side 2) keep the
+// previous value of that direction and are never updated; every other pair
+// starts cold. The other graph must be the one From was computed over.
 type Seed struct {
-	// Forward[a][b] fixes the forward similarity of events a (graph 1) and
-	// b (graph 2).
-	Forward map[string]map[string]float64
-	// Backward fixes backward similarities likewise.
-	Backward map[string]map[string]float64
-	// WarmForward provides non-frozen starting values for the forward
-	// direction.
-	WarmForward map[string]map[string]float64
-	// WarmBackward likewise for the backward direction.
-	WarmBackward map[string]map[string]float64
+	From  *Result
+	Side  int
+	Fixed [2][]bool
 }
 
 // Computation is a stepwise similarity computation. Composite-event matching
@@ -187,41 +161,78 @@ func NewComputation(g1, g2 *depgraph.Graph, cfg Config, seed *Seed) (*Computatio
 		return nil, err
 	}
 	if seed != nil {
-		if cfg.Direction != Backward {
-			applySeed(c.fwd, g1, g2, seed.Forward, true)
-			applySeed(c.fwd, g1, g2, seed.WarmForward, false)
-		}
-		switch cfg.Direction {
-		case Backward:
-			applySeed(c.fwd, g1, g2, seed.Backward, true)
-			applySeed(c.fwd, g1, g2, seed.WarmBackward, false)
-		case Both:
-			applySeed(c.bwd, g1, g2, seed.Backward, true)
-			applySeed(c.bwd, g1, g2, seed.WarmBackward, false)
+		if err := c.start(seed, g1, g2); err != nil {
+			return nil, err
 		}
 	}
 	return c, nil
 }
 
-func applySeed(e *dirEngine, g1, g2 *depgraph.Graph, values map[string]map[string]float64, freeze bool) {
-	for a, row := range values {
-		i, ok := g1.Index[a]
-		if !ok || i == 0 {
+// start applies a seed to the freshly built direction engines (see Seed).
+func (c *Computation) start(s *Seed, g1, g2 *depgraph.Graph) error {
+	warm := s.Fixed[0] == nil && s.Fixed[1] == nil
+	if !warm && s.Side != 1 && s.Side != 2 {
+		return fmt.Errorf("core: seed side must be 1 or 2, got %d", s.Side)
+	}
+	at1, at2 := prevIndex(g1, s.From.Names1), prevIndex(g2, s.From.Names2)
+	at, n := at1, g1.N()
+	if s.Side == 2 {
+		at, n = at2, g2.N()
+	}
+	n2p := len(s.From.Names2)
+	for k, e := range c.engines() {
+		d, prev := 0, s.From.Forward
+		if c.directions()[k] == Backward {
+			d, prev = 1, s.From.Backward
+		}
+		fixed := s.Fixed[d]
+		if prev == nil || !warm && fixed == nil {
 			continue
 		}
-		for b, v := range row {
-			j, ok := g2.Index[b]
-			if !ok || j == 0 {
-				continue
+		if !warm && len(fixed) != n {
+			return fmt.Errorf("core: seed marks %d vertices, graph %d has %d", len(fixed), s.Side, n)
+		}
+		mask := e.frozen1
+		if s.Side == 2 {
+			mask = e.frozen2
+		}
+		for v, f := range fixed {
+			if f && at[v] >= 0 {
+				mask[v] = true
 			}
-			if freeze {
-				e.seed(i, j, v)
-			} else if !e.frozen[i*e.n2+j] {
-				e.cur[i*e.n2+j] = v
-				e.warmed = true
+		}
+		for i := 1; i < e.n1; i++ {
+			for j := 1; j < e.n2; j++ {
+				if !warm && !e.frozen1[i] && !e.frozen2[j] {
+					continue
+				}
+				if at1[i] < 0 || at2[j] < 0 {
+					if warm {
+						continue
+					}
+					return fmt.Errorf("core: seed's other graph has events its previous result lacks")
+				}
+				e.cur[i*e.n2+j] = prev[at1[i]*n2p+at2[j]]
+				e.warmed = warm // a carried-over start voids monotonicity
 			}
 		}
 	}
+	return nil
+}
+
+// prevIndex maps every vertex of g to the position of its name in names,
+// -1 for the artificial event and for names missing from names.
+func prevIndex(g *depgraph.Graph, names []string) []int {
+	at := make([]int, g.N())
+	for v := range at {
+		at[v] = -1
+	}
+	for k, n := range names {
+		if v, ok := g.Index[n]; ok && v >= g.RealStart() && at[v] < 0 {
+			at[v] = k
+		}
+	}
+	return at
 }
 
 // Step performs one iteration round in every direction and reports whether

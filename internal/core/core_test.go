@@ -3,6 +3,7 @@ package core
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -376,13 +377,20 @@ func TestUpperBoundTightens(t *testing.T) {
 	}
 }
 
-// TestSeedFreezesPairs: seeded pairs keep their value exactly.
+// TestSeedFreezesPairs: the pairs of a frozen row keep their seeded value
+// exactly.
 func TestSeedFreezesPairs(t *testing.T) {
 	g1, g2 := exampleGraphs(t)
-	seed := &Seed{
-		Forward:  map[string]map[string]float64{"A": {"1": 0.123}},
-		Backward: map[string]map[string]float64{"A": {"1": 0.321}},
+	prev, err := Compute(g1, g2, DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
 	}
+	i, j := slices.Index(prev.Names1, "A"), slices.Index(prev.Names2, "1")
+	prev.Forward[i*len(prev.Names2)+j] = 0.123
+	prev.Backward[i*len(prev.Names2)+j] = 0.321
+	rowA := make([]bool, g1.N())
+	rowA[g1.Index["A"]] = true
+	seed := &Seed{From: prev, Side: 1, Fixed: [2][]bool{rowA, rowA}}
 	comp, err := NewComputation(g1, g2, DefaultConfig(), seed)
 	if err != nil {
 		t.Fatalf("NewComputation: %v", err)
@@ -401,6 +409,29 @@ func TestSeedFreezesPairs(t *testing.T) {
 	bwd, _ := lookupIn(r.Names1, r.Names2, r.Backward, "A", "1")
 	if math.Abs(bwd-0.321) > 1e-12 {
 		t.Errorf("seeded backward value changed: %g", bwd)
+	}
+}
+
+// TestSeedRejectsMismatch: a freezing seed must name a side, mark every
+// vertex of that side, and come from a result over the other graph.
+func TestSeedRejectsMismatch(t *testing.T) {
+	g1, g2 := exampleGraphs(t)
+	prev, err := Compute(g1, g2, DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows := make([]bool, g1.N())
+	rows[g1.Index["A"]] = true
+	other := *prev
+	other.Names2 = append([]string{"not in g2"}, prev.Names2[1:]...)
+	for name, seed := range map[string]*Seed{
+		"side":   {From: prev, Side: 3, Fixed: [2][]bool{rows, rows}},
+		"length": {From: prev, Side: 2, Fixed: [2][]bool{rows[:2], rows[:2]}},
+		"other":  {From: &other, Side: 1, Fixed: [2][]bool{rows, rows}},
+	} {
+		if _, err := NewComputation(g1, g2, DefaultConfig(), seed); err == nil {
+			t.Errorf("%s: NewComputation accepted a mismatched seed", name)
+		}
 	}
 }
 

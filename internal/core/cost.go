@@ -11,8 +11,8 @@ import (
 // then lets NewComputation allocate the matrices.
 //
 // The prediction covers the engine's own O(n1*n2) state — similarity
-// matrices, label matrix, frozen-pair map, agreement cache, pre-set tables —
-// which dominates peak heap for any non-trivial pair. It deliberately does
+// matrices, label matrix, agreement cache, pre-set tables — which
+// dominates peak heap for any non-trivial pair. It deliberately does
 // not model the parsed logs or graphs themselves (already resident when the
 // estimate is made) nor allocator slack; callers wanting headroom apply
 // their own safety factor on top.
@@ -31,8 +31,9 @@ type CostEstimate struct {
 // DirCost itemizes one direction engine's predicted footprint.
 type DirCost struct {
 	N1, N2 int
-	// MatrixBytes covers cur+prev plus the frozen-pair map and — for the
-	// first direction only, the second shares it — the label matrix.
+	// MatrixBytes covers cur+prev and — for the first direction only, the
+	// second shares it — the label matrix. The frozen row and column masks
+	// are O(n1+n2) and left out.
 	MatrixBytes int64
 	// AgreeBytes is the agreement cache: the factor table plus the fIdx1 /
 	// aOff2 index arrays, zero when the table would exceed agreeCacheLimit
@@ -84,9 +85,9 @@ func estimateDir(g1, g2 *depgraph.Graph, cfg Config, reversed, ownsLab bool) Dir
 	d := DirCost{N1: n1, N2: n2}
 	cells := int64(n1) * int64(n2)
 
-	// cur + prev, plus frozen; lab is allocated regardless of Alpha, once
-	// per Computation.
-	d.MatrixBytes = 2*8*cells + cells
+	// cur + prev; lab is allocated regardless of Alpha, once per
+	// Computation.
+	d.MatrixBytes = 2 * 8 * cells
 	if ownsLab {
 		d.MatrixBytes += 8 * cells
 	}

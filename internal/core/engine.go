@@ -37,10 +37,11 @@ type dirEngine struct {
 	// extracted once from the EdgeFreq maps so the agreement-cache build is
 	// pure arithmetic instead of millions of map lookups.
 	inF1, inF2 [][]float64
-	// frozen marks pairs that must never be updated: pairs involving an
-	// artificial event, and pairs seeded from a previous result whose value
-	// is provably unchanged (Proposition 4).
-	frozen []bool
+	// frozen1[v1] and frozen2[v2] mark the rows and columns that are never
+	// updated: pair (v1,v2) is frozen iff frozen1[v1] || frozen2[v2]. The
+	// artificial row and column are always frozen; a Proposition-4 seed
+	// freezes the rows or columns whose value a merge left unchanged.
+	frozen1, frozen2 []bool
 
 	// Agreement cache. The edge-agreement factor C(...) = c*(1-|f1-f2|/(f1+f2))
 	// depends only on the two edge frequencies, and a graph has few distinct
@@ -85,14 +86,12 @@ type dirEngine struct {
 	estimated bool
 	// roundEvals and roundPruned are the latest round's evaluation and
 	// prune-skip counts, surfaced through Config.OnRound; totalPruned
-	// accumulates the skips. activePairs caches the non-frozen pair count
-	// (computed lazily at the first step, after seeding settles): every
-	// active pair is either evaluated or prune-skipped in a round, so
-	// pruned = activePairs - roundEvals without touching the hot loop.
+	// accumulates the skips. Every active (non-frozen) pair is either
+	// evaluated or prune-skipped in a round, so pruned = activePairs() -
+	// roundEvals without touching the hot loop.
 	roundEvals  int
 	roundPruned int
 	totalPruned int
-	activePairs int
 	// lastDelta is the maximum pair increment observed in the latest round.
 	// Lemma 5's induction step shows increments contract by alpha*c per
 	// round, so all future growth is bounded by lastDelta*ac/(1-ac) — a
@@ -150,7 +149,6 @@ func newDirEngine(g1, g2 *depgraph.Graph, cfg Config, pool *rowPool, lab []float
 		n1: g1.N(), n2: g2.N(),
 		l1: l1, l2: l2,
 		pool: pool, workers: 1,
-		activePairs: -1,
 	}
 	if pool != nil {
 		e.workers = pool.workers
@@ -165,16 +163,12 @@ func newDirEngine(g1, g2 *depgraph.Graph, cfg Config, pool *rowPool, lab []float
 	}
 	e.cur = make([]float64, e.n1*e.n2)
 	e.prev = make([]float64, e.n1*e.n2)
-	e.frozen = make([]bool, e.n1*e.n2)
 	// Initialization: S^0(v^X, v^X) = 1; artificial/real pairs stay 0 and
 	// are never updated.
 	e.cur[0] = 1
-	for j := 0; j < e.n2; j++ {
-		e.frozen[j] = true
-	}
-	for i := 0; i < e.n1; i++ {
-		e.frozen[i*e.n2] = true
-	}
+	e.frozen1 = make([]bool, e.n1)
+	e.frozen2 = make([]bool, e.n2)
+	e.frozen1[0], e.frozen2[0] = true, true
 	e.bound = convergenceBound(l1, l2)
 	e.fast = cfg.FastPath && cfg.EstimateI < 0
 	if e.fast {
@@ -369,12 +363,20 @@ func convergenceBound(l1, l2 []int) int {
 	return min(maxOf(l1), maxOf(l2))
 }
 
-// seed fixes the similarity of pair (i,j) to v and freezes it so iteration
-// never updates it. Used by composite matching for pairs whose value is
-// provably unchanged (Proposition 4).
-func (e *dirEngine) seed(i, j int, v float64) {
-	e.cur[i*e.n2+j] = v
-	e.frozen[i*e.n2+j] = true
+// activePairs is the number of pairs a round updates: the unfrozen rows
+// times the unfrozen columns.
+func (e *dirEngine) activePairs() int {
+	return (e.n1 - trues(e.frozen1)) * (e.n2 - trues(e.frozen2))
+}
+
+func trues(mask []bool) int {
+	n := 0
+	for _, f := range mask {
+		if f {
+			n++
+		}
+	}
+	return n
 }
 
 // edgeAgreement returns C(v1,v1',v2,v2') for the in-edges (p1,v1) of g1
@@ -497,12 +499,15 @@ func (e *dirEngine) step() (float64, error) {
 		var maxDelta float64
 		evals := 0
 		for v1 := lo; v1 < hi; v1++ {
+			if e.frozen1[v1] {
+				continue
+			}
 			row := v1 * e.n2
 			for v2 := 1; v2 < e.n2; v2++ {
-				idx := row + v2
-				if e.frozen[idx] {
+				if e.frozen2[v2] {
 					continue
 				}
+				idx := row + v2
 				if e.cfg.Prune && e.round > min(e.l1[v1], e.l2[v2]) {
 					continue
 				}
@@ -535,18 +540,7 @@ func (e *dirEngine) step() (float64, error) {
 	}
 	e.evals += roundEvals
 	e.roundEvals = roundEvals
-	if e.activePairs < 0 {
-		// First round: the frozen set is final now (seeding happens before
-		// iteration), so count the active pairs once.
-		n := 0
-		for _, f := range e.frozen {
-			if !f {
-				n++
-			}
-		}
-		e.activePairs = n
-	}
-	e.roundPruned = e.activePairs - roundEvals
+	e.roundPruned = e.activePairs() - roundEvals
 	e.totalPruned += e.roundPruned
 	e.lastDelta = maxDelta
 	if e.fast && !e.cutover {
@@ -736,11 +730,14 @@ func (e *dirEngine) estimate() error {
 			return
 		}
 		for v1 := lo; v1 < hi; v1++ {
+			if e.frozen1[v1] {
+				continue
+			}
 			for v2 := 1; v2 < e.n2; v2++ {
-				idx := v1*e.n2 + v2
-				if e.frozen[idx] {
+				if e.frozen2[v2] {
 					continue
 				}
+				idx := v1*e.n2 + v2
 				h := min(e.l1[v1], e.l2[v2])
 				if h <= I {
 					continue // already exact
@@ -811,12 +808,15 @@ func (e *dirEngine) residualBound() error {
 		}
 		var maxRes float64
 		for v1 := lo; v1 < hi; v1++ {
+			if e.frozen1[v1] {
+				continue
+			}
 			row := v1 * e.n2
 			for v2 := 1; v2 < e.n2; v2++ {
-				idx := row + v2
-				if e.frozen[idx] {
+				if e.frozen2[v2] {
 					continue
 				}
+				idx := row + v2
 				s12, s21 := e.oneSides(v1, v2, w)
 				v := e.cfg.Alpha*(s12+s21)/2 + (1-e.cfg.Alpha)*e.lab[idx]
 				if d := math.Abs(v - e.prev[idx]); d > maxRes {
@@ -904,7 +904,7 @@ func (e *dirEngine) upperBoundSum() (float64, error) {
 			for v2 := 1; v2 < e.n2; v2++ {
 				idx := v1*e.n2 + v2
 				s := e.cur[idx]
-				if e.frozen[idx] {
+				if e.frozen1[v1] || e.frozen2[v2] {
 					sum += s
 					continue
 				}

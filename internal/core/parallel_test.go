@@ -136,43 +136,27 @@ func TestParallelBitIdenticalWithLabels(t *testing.T) {
 	}
 }
 
-// TestParallelBitIdenticalSeeded covers frozen seeds (Proposition 4) and
-// warm starts: both must survive any worker count unchanged.
+// TestParallelBitIdenticalSeeded covers Proposition-4 freezing and warm
+// starts: both must survive any worker count unchanged.
 func TestParallelBitIdenticalSeeded(t *testing.T) {
 	g1, g2 := procgenGraphs(t, 3, 15, 50)
 	base, err := Compute(g1, g2, DefaultConfig())
 	if err != nil {
 		t.Fatalf("base Compute: %v", err)
 	}
-	// Freeze the first few forward/backward pairs at their converged values
-	// and warm-start everything else from the base result.
-	seed := &Seed{
-		Forward:      map[string]map[string]float64{},
-		Backward:     map[string]map[string]float64{},
-		WarmForward:  map[string]map[string]float64{},
-		WarmBackward: map[string]map[string]float64{},
+	// Freeze the first three forward/backward rows at their converged
+	// values; separately, warm-start every pair from a perturbed base
+	// result.
+	rows := make([]bool, g1.N())
+	for _, a := range base.Names1[:3] {
+		rows[g1.Index[a]] = true
 	}
-	n2 := len(base.Names2)
-	for i, a := range base.Names1 {
-		for j, b := range base.Names2 {
-			if i < 3 && j < 3 {
-				if seed.Forward[a] == nil {
-					seed.Forward[a] = map[string]float64{}
-					seed.Backward[a] = map[string]float64{}
-				}
-				seed.Forward[a][b] = base.Forward[i*n2+j]
-				seed.Backward[a][b] = base.Backward[i*n2+j]
-				continue
-			}
-			if seed.WarmForward[a] == nil {
-				seed.WarmForward[a] = map[string]float64{}
-				seed.WarmBackward[a] = map[string]float64{}
-			}
-			seed.WarmForward[a][b] = base.Forward[i*n2+j] * 0.9
-			seed.WarmBackward[a][b] = base.Backward[i*n2+j] * 0.9
-		}
-	}
-	run := func(workers int) *Result {
+	frozen := &Seed{From: base, Side: 1, Fixed: [2][]bool{rows, rows}}
+	perturbed := *base
+	perturbed.Forward = scaled(base.Forward, 0.9)
+	perturbed.Backward = scaled(base.Backward, 0.9)
+	warm := &Seed{From: &perturbed}
+	run := func(seed *Seed, workers int) *Result {
 		cfg := DefaultConfig()
 		cfg.Workers = workers
 		comp, err := NewComputation(g1, g2, cfg, seed)
@@ -188,10 +172,20 @@ func TestParallelBitIdenticalSeeded(t *testing.T) {
 		}
 		return r
 	}
-	serial := run(1)
-	for _, workers := range []int{2, 8} {
-		requireBitIdentical(t, serial, run(workers), fmt.Sprintf("seeded workers=%d", workers))
+	for name, seed := range map[string]*Seed{"frozen": frozen, "warm": warm} {
+		serial := run(seed, 1)
+		for _, workers := range []int{2, 8} {
+			requireBitIdentical(t, serial, run(seed, workers), fmt.Sprintf("%s workers=%d", name, workers))
+		}
 	}
+}
+
+func scaled(m []float64, f float64) []float64 {
+	out := make([]float64, len(m))
+	for i, v := range m {
+		out[i] = v * f
+	}
+	return out
 }
 
 // TestParallelStepwiseBitIdentical drives serial and parallel computations

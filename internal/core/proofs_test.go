@@ -104,8 +104,8 @@ func TestExample6EstimationAnchors(t *testing.T) {
 
 // TestTheorem1UniquenessFromDifferentStarts: the fixpoint is unique —
 // iterating from a seeded nonzero start converges to the same limits (the
-// contraction argument of the uniqueness proof). We approximate by seeding
-// one non-artificial pair at its exact converged value and checking the
+// contraction argument of the uniqueness proof). We approximate by freezing
+// one non-artificial row at its exact converged values and checking the
 // rest agree.
 func TestTheorem1UniquenessFromDifferentStarts(t *testing.T) {
 	g1, g2 := exampleGraphs(t)
@@ -114,8 +114,9 @@ func TestTheorem1UniquenessFromDifferentStarts(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	v, _ := exact.Lookup("B", "3")
-	seed := &Seed{Forward: map[string]map[string]float64{"B": {"3": v}}}
+	rowB := make([]bool, g1.N())
+	rowB[g1.Index["B"]] = true
+	seed := &Seed{From: exact, Side: 1, Fixed: [2][]bool{rowB, nil}}
 	comp, err := NewComputation(g1, g2, cfg, seed)
 	if err != nil {
 		t.Fatal(err)
