@@ -2,6 +2,7 @@ package eventlog
 
 import (
 	"bytes"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -11,6 +12,8 @@ import (
 // the same input with two cross-mode properties: lenient reading never
 // panics either, and whenever the strict reader succeeds and the lenient
 // reader reports zero skips, both must have produced the identical log.
+// FuzzReadCSV further holds the lenient CSV reader to its reference
+// (oracleReadCSVLenient): the same log, error and SkipReport on every input.
 
 func FuzzReadCSV(f *testing.F) {
 	f.Add("case,event\nc1,a\nc1,b\n")
@@ -19,9 +22,23 @@ func FuzzReadCSV(f *testing.F) {
 	f.Add("case,event\nc1,\"quoted,comma\"\n")
 	f.Add("case,event\nc1,a\nc1\nc1,b,extra\nc1,b\n")
 	f.Add("case,event\nc1,a\nc1,\nc2,x\n")
+	// Size-cap seeds are built here rather than stored: each is over a
+	// megabyte or 64 KiB of filler.
+	f.Add("case,event\nc1,a\nc1," + strings.Repeat("x", MaxLineBytes) + "\nc1,b\n")
+	f.Add("case,event\nc1,a\nc1," + strings.Repeat("y", MaxFieldBytes+1) + "\nc1,b\n")
 	f.Fuzz(func(t *testing.T, in string) {
 		strict, serr := ReadCSV(strings.NewReader(in), "fuzz")
 		lenient, rep, lerr := ReadCSVWith(strings.NewReader(in), "fuzz", ReadOptions{Lenient: true})
+		want, wantRep, werr := oracleReadCSVLenient(strings.NewReader(in), "fuzz")
+		if (lerr == nil) != (werr == nil) || (lerr != nil && lerr.Error() != werr.Error()) {
+			t.Fatalf("lenient error %v, reference %v", lerr, werr)
+		}
+		if lerr == nil && !lenient.Equal(want) {
+			t.Fatalf("lenient log %v, reference %v", lenient, want)
+		}
+		if !reflect.DeepEqual(rep, wantRep) {
+			t.Fatalf("lenient report %+v, reference %+v", rep, wantRep)
+		}
 		if serr == nil && lerr == nil && rep.Total() == 0 && !lenient.Equal(strict) {
 			t.Fatalf("lenient with zero skips diverged from strict: %v vs %v", lenient, strict)
 		}
