@@ -9,6 +9,7 @@ package repro
 // calls out (artificial event, pruning, both-direction aggregation).
 
 import (
+	"bytes"
 	"math/rand"
 	"testing"
 
@@ -21,6 +22,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/dataset"
 	"repro/internal/depgraph"
+	"repro/internal/eventlog"
 	"repro/internal/experiments"
 	"repro/internal/matching"
 )
@@ -257,6 +259,38 @@ func BenchmarkDepgraphBuild(b *testing.B) {
 		if _, err := g.AddArtificial(); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// BenchmarkReadCSVLenient times the lenient line-by-line CSV reader on a
+// 40-event, 100-trace log, the ingestion path of dirty logs.
+func BenchmarkReadCSVLenient(b *testing.B) {
+	p := benchPairLogs(b, 40)
+	var doc bytes.Buffer
+	if err := eventlog.WriteCSV(&doc, p.Log1); err != nil {
+		b.Fatal(err)
+	}
+	b.SetBytes(int64(doc.Len()))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, _, err := eventlog.ReadCSVWith(bytes.NewReader(doc.Bytes()), "bench", eventlog.ReadOptions{Lenient: true}); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// statsSink keeps BenchmarkCollectStats's result alive.
+var statsSink *eventlog.Stats
+
+// BenchmarkCollectStats times the Definition 1 node and edge count of a
+// 40-event, 100-trace log.
+func BenchmarkCollectStats(b *testing.B) {
+	p := benchPairLogs(b, 40)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		statsSink = eventlog.CollectStats(p.Log1)
 	}
 }
 

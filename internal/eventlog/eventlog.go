@@ -148,41 +148,61 @@ type Stats struct {
 // An empty log yields zero-valued statistics and no error; frequencies are
 // then all absent.
 func CollectStats(l *Log) *Stats {
-	s := &Stats{
-		TraceCount: len(l.Traces),
-		NodeFreq:   make(map[Event]float64),
-		EdgeFreq:   make(map[[2]Event]float64),
-	}
+	s := &Stats{TraceCount: len(l.Traces)}
 	if len(l.Traces) == 0 {
+		s.NodeFreq = make(map[Event]float64)
+		s.EdgeFreq = make(map[[2]Event]float64)
 		return s
 	}
-	nodeCount := make(map[Event]int)
-	edgeCount := make(map[[2]Event]int)
-	seenNode := make(map[Event]bool)
-	seenEdge := make(map[[2]Event]bool)
-	for _, t := range l.Traces {
-		clear(seenNode)
-		clear(seenEdge)
-		for i, e := range t {
-			if !seenNode[e] {
-				seenNode[e] = true
-				nodeCount[e]++
+	// Events are interned to dense ids once per log. A node or edge counts
+	// once per trace: its stamp records the last trace (numbered from 1)
+	// that counted it, so nothing is cleared between traces.
+	type tally struct{ count, stamp int32 }
+	ids := make(map[Event]int32)
+	var names []Event
+	var nodes, edges []tally
+	var edgeKeys []uint64
+	edgeIDs := make(map[uint64]int32)
+	for ti, t := range l.Traces {
+		stamp := int32(ti + 1)
+		prev := int32(-1)
+		for _, e := range t {
+			id, ok := ids[e]
+			if !ok {
+				id = int32(len(names))
+				ids[e] = id
+				names = append(names, e)
+				nodes = append(nodes, tally{})
 			}
-			if i+1 < len(t) {
-				p := [2]Event{e, t[i+1]}
-				if !seenEdge[p] {
-					seenEdge[p] = true
-					edgeCount[p]++
+			if n := &nodes[id]; n.stamp != stamp {
+				n.stamp = stamp
+				n.count++
+			}
+			if prev >= 0 {
+				key := uint64(prev)<<32 | uint64(id)
+				eid, ok := edgeIDs[key]
+				if !ok {
+					eid = int32(len(edges))
+					edgeIDs[key] = eid
+					edgeKeys = append(edgeKeys, key)
+					edges = append(edges, tally{})
+				}
+				if et := &edges[eid]; et.stamp != stamp {
+					et.stamp = stamp
+					et.count++
 				}
 			}
+			prev = id
 		}
 	}
 	n := float64(len(l.Traces))
-	for e, c := range nodeCount {
-		s.NodeFreq[e] = float64(c) / n
+	s.NodeFreq = make(map[Event]float64, len(names))
+	for id, e := range names {
+		s.NodeFreq[e] = float64(nodes[id].count) / n
 	}
-	for p, c := range edgeCount {
-		s.EdgeFreq[p] = float64(c) / n
+	s.EdgeFreq = make(map[[2]Event]float64, len(edges))
+	for eid, key := range edgeKeys {
+		s.EdgeFreq[[2]Event{names[key>>32], names[uint32(key)]}] = float64(edges[eid].count) / n
 	}
 	return s
 }

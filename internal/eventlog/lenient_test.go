@@ -115,6 +115,27 @@ func TestReadCSVLenientMatchesStrictOnCleanInput(t *testing.T) {
 	}
 }
 
+// TestReadCSVLenientLineEndingsMatchStrict pins carriage returns: a CRLF
+// ends a line in both modes, a CRLF blank line is skipped, and a carriage
+// return before the CRLF stays in the last field, as the strict reader
+// keeps it.
+func TestReadCSVLenientLineEndingsMatchStrict(t *testing.T) {
+	in := "case,event\r\nc1,a\r\n\r\nc1,b\r\r\nc1,c\r"
+	strict, err := ReadCSV(strings.NewReader(in), "crlf")
+	if err != nil {
+		t.Fatal(err)
+	}
+	lenient, rep, err := ReadCSVWith(strings.NewReader(in), "crlf", ReadOptions{Lenient: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := New("crlf")
+	want.Append(Trace{"a", "b\r", "c"})
+	if !strict.Equal(want) || !lenient.Equal(want) || rep.Total() != 0 {
+		t.Fatalf("strict %q, lenient %q (report %+v), want %q", strict.Traces, lenient.Traces, rep, want.Traces)
+	}
+}
+
 func TestReadXESLenientSkipsBadEvents(t *testing.T) {
 	in := `<?xml version="1.0"?>
 <log>

@@ -48,15 +48,15 @@ type Counts struct {
 
 func (c Counts) zero() bool { return c.Dropped == 0 && c.Reordered == 0 && c.Imputed == 0 }
 
-// Context is the aggregate evidence a stage repairs against: the occurrence
-// statistics and the dependency graph of the stage's input log. The pipeline
-// rebuilds it before every stage, so later stages see the cleaned-up
-// statistics of their predecessors' output.
+// Context is the aggregate evidence a stage repairs against: the dependency
+// graph of the stage's input log, which carries its normalized node and edge
+// occurrence frequencies (Graph.NodeFreq, Graph.Freq), and the log's
+// dirtiness. The pipeline rebuilds it before every stage, counting the
+// stage's input log once, so later stages see the cleaned-up statistics of
+// their predecessors' output.
 type Context struct {
-	// Stats are the normalized node/edge occurrence frequencies.
-	Stats *eventlog.Stats
 	// Graph is the dependency relation (Definition 1, without the
-	// artificial event) of the same log.
+	// artificial event) of the log.
 	Graph *depgraph.Graph
 	// Dirtiness estimates how noisy the log being repaired is: the fraction
 	// of adjacent event pairs that are immediate stutters (e == next).
@@ -68,13 +68,31 @@ type Context struct {
 	Dirtiness float64
 }
 
-// NewContext builds the repair context for a log.
+// NewContext builds the repair context for a log, measuring its dirtiness.
 func NewContext(l *eventlog.Log) (*Context, error) {
+	return newContext(l, Dirtiness(l))
+}
+
+// newContext builds the repair context for a log with a given dirtiness.
+func newContext(l *eventlog.Log, dirtiness float64) (*Context, error) {
 	g, err := depgraph.Build(l)
 	if err != nil {
 		return nil, fmt.Errorf("repair: build dependency relation: %w", err)
 	}
-	return &Context{Stats: eventlog.CollectStats(l), Graph: g, Dirtiness: Dirtiness(l)}, nil
+	return &Context{Graph: g, Dirtiness: dirtiness}, nil
+}
+
+// orderFreq returns the frequencies of the edges (a,b) and (b,a) in the
+// context's log; an order the log never records has frequency 0.
+func (c *Context) orderFreq(a, b eventlog.Event) (fwd, rev float64) {
+	ia, ok1 := c.Graph.Index[a]
+	ib, ok2 := c.Graph.Index[b]
+	if !ok1 || !ok2 {
+		return 0, 0
+	}
+	fwd, _ = c.Graph.Freq(ia, ib)
+	rev, _ = c.Graph.Freq(ib, ia)
+	return fwd, rev
 }
 
 // Dirtiness returns the stutter rate of a log: immediately repeated events
@@ -282,14 +300,13 @@ func (p *Pipeline) Run(l *eventlog.Log) (*eventlog.Log, *Report, error) {
 		for i := range cur {
 			work.Traces[i] = cur[i].t
 		}
-		ctx, err := NewContext(work)
-		if err != nil {
-			return nil, nil, err
-		}
 		// Adaptive stages must calibrate against the raw input's dirtiness:
 		// the collapse stage removes the stutters the estimate is read from,
 		// so the per-stage context would otherwise always look clean.
-		ctx.Dirtiness = dirt
+		ctx, err := newContext(work, dirt)
+		if err != nil {
+			return nil, nil, err
+		}
 		sr := StageReport{Stage: st.Name()}
 		next := make([]liveTrace, 0, len(cur))
 		for _, lv := range cur {

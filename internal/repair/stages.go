@@ -94,8 +94,7 @@ func (s *RepairOrder) Repair(ctx *Context, t eventlog.Trace) (eventlog.Trace, Co
 			if a == b {
 				continue
 			}
-			fwd := ctx.Stats.EdgeFreq[[2]eventlog.Event{a, b}]
-			rev := ctx.Stats.EdgeFreq[[2]eventlog.Event{b, a}]
+			fwd, rev := ctx.orderFreq(a, b)
 			if rev > fwd && rev >= ratio*fwd && fwd <= maxFwd {
 				// Refuse a transposition that would fabricate an adjacent
 				// duplicate: the collapse stage has already run, so a new
