@@ -136,15 +136,25 @@ perfbench-test:
 
 # Short fuzz runs over every fuzz target; CI uses this as a smoke test.
 # Each target needs its own invocation: `go test -fuzz` accepts exactly one.
+# The targets come from `go test -list`, so a new one is run without being
+# listed here, and the run fails if that list misses any `func Fuzz`
+# declared in a test file of the module.
 FUZZTIME ?= 10s
 
 fuzz-smoke:
-	$(GO) test -run '^$$' -fuzz '^FuzzReadCSV$$' -fuzztime $(FUZZTIME) ./internal/eventlog
-	$(GO) test -run '^$$' -fuzz '^FuzzReadXES$$' -fuzztime $(FUZZTIME) ./internal/eventlog
-	$(GO) test -run '^$$' -fuzz '^FuzzReadXML$$' -fuzztime $(FUZZTIME) ./internal/eventlog
-	$(GO) test -run '^$$' -fuzz '^FuzzQGramCosine$$' -fuzztime $(FUZZTIME) ./internal/label
-	$(GO) test -run '^$$' -fuzz '^FuzzLevenshtein$$' -fuzztime $(FUZZTIME) ./internal/label
-	$(GO) test -run '^$$' -fuzz '^FuzzReadResultJSON$$' -fuzztime $(FUZZTIME) ./ems
+	@set -e; \
+	targets=$$($(GO) test -list '^Fuzz' ./... | \
+		awk '/^Fuzz/ { n[++k] = $$1; next } /^ok/ { for (i = 1; i <= k; i++) print $$2 ":" n[i]; k = 0 }'); \
+	declared=$$($(GO) list -f '{{$$d := .Dir}}{{range .TestGoFiles}}{{$$d}}/{{.}} {{end}}{{range .XTestGoFiles}}{{$$d}}/{{.}} {{end}}' ./... | \
+		xargs cat | grep -c '^func Fuzz'); \
+	ran=$$(echo "$$targets" | grep -c .); \
+	if [ "$$ran" -ne "$$declared" ]; then \
+		echo "fuzz-smoke: $$declared fuzz targets declared, $$ran listed by go test:"; echo "$$targets"; exit 1; \
+	fi; \
+	for t in $$targets; do \
+		echo "fuzz-smoke: $${t#*:} in $${t%%:*}"; \
+		$(GO) test -run '^$$' -fuzz "^$${t#*:}\$$" -fuzztime $(FUZZTIME) "$${t%%:*}"; \
+	done
 
 # Core-engine scaling benchmark: serial vs N-worker wall time on a fixed
 # synthetic pair, written as a machine-readable trajectory point.

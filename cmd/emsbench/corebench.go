@@ -56,7 +56,7 @@ type fastPathReport struct {
 	// path's (both from this report, same binary and machine).
 	SpeedupVsExact float64 `json:"speedup_vs_exact"`
 	// Rounds is the exact rounds the adaptive cutover allowed before the
-	// estimation pass took over.
+	// estimation pass took over, plus the certifying round(s) after it.
 	Rounds    int  `json:"rounds"`
 	Evals     int  `json:"evaluations"`
 	Estimated bool `json:"estimated"`

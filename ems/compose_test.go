@@ -77,23 +77,41 @@ func TestProgressAndCheckpointsCompose(t *testing.T) {
 		}
 	}
 
-	if len(obsAlone) != plain.Rounds+1 {
-		t.Fatalf("%d observations for %d rounds, want one per round plus the estimated final one", len(obsAlone), plain.Rounds)
+	// One observation per exact round up to the cutover, then the estimated
+	// final one, which reports the round count including the certifying
+	// round after the estimate.
+	if len(obsAlone) < 2 {
+		t.Fatalf("%d observations for %d rounds, want one per exact round plus the estimated final one", len(obsAlone), plain.Rounds)
+	}
+	for i, ob := range obsAlone[:len(obsAlone)-1] {
+		if ob.Round != i+1 || ob.Dirs[0].Estimated {
+			t.Fatalf("observation %d = round %d estimated %v, want round %d not estimated", i, ob.Round, ob.Dirs[0].Estimated, i+1)
+		}
 	}
 	final := obsAlone[len(obsAlone)-1]
-	if final.Round != plain.Rounds || !final.Dirs[0].Estimated {
+	if final.Round != plain.Rounds || final.Round <= len(obsAlone)-1 || !final.Dirs[0].Estimated {
 		t.Errorf("final observation = round %d estimated %v, want round %d estimated", final.Round, final.Dirs[0].Estimated, plain.Rounds)
+	}
+	bound := 0.0
+	for _, d := range final.Dirs {
+		bound = max(bound, d.ErrorBound)
+	}
+	if bound != plain.ErrorBound {
+		t.Errorf("final observation carries ErrorBound %g, result has %g", bound, plain.ErrorBound)
 	}
 	if !reflect.DeepEqual(obsBoth, obsAlone) {
 		t.Errorf("observations with checkpoints armed differ from progress alone:\n got %+v\nwant %+v", obsBoth, obsAlone)
 	}
 
+	// The last exact round's boundary is already final: the estimate and
+	// the certifying round follow it without a boundary of their own.
+	lastExact := len(obsAlone) - 1
 	var want []int
-	for r := every; r < plain.Rounds; r += every {
+	for r := every; r < lastExact; r += every {
 		want = append(want, r)
 	}
 	if !reflect.DeepEqual(ckpAlone, want) {
-		t.Errorf("checkpoint rounds %v, want %v (every %d, none at the final round %d)", ckpAlone, want, every, plain.Rounds)
+		t.Errorf("checkpoint rounds %v, want %v (every %d, none at the final exact round %d)", ckpAlone, want, every, lastExact)
 	}
 	if !reflect.DeepEqual(ckpBoth, ckpAlone) {
 		t.Errorf("checkpoint rounds with progress armed %v, alone %v", ckpBoth, ckpAlone)

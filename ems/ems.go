@@ -14,11 +14,12 @@
 // pruning, and correspondence selection.
 //
 // Match runs the adaptive fast path by default: exact rounds until the
-// geometric convergence tail is detected, then the closed-form estimation of
-// Section 3.5 plus one certifying residual round. The certified worst-case
-// error is returned in Result.ErrorBound; WithExact restores plain exact
-// iteration, WithFastPath tunes the error budget. MatchComposite always runs
-// exact (its merge decisions compare similarity averages).
+// contraction bound puts every pair within half the error budget of the
+// fixpoint, then the closed-form estimation of Section 3.5 and one
+// certifying round over the estimate. The certified worst-case error is
+// returned in Result.ErrorBound; WithExact restores plain exact iteration,
+// WithFastPath tunes the error budget. MatchComposite always runs exact (its
+// merge decisions compare similarity averages).
 package ems
 
 import (
@@ -187,7 +188,8 @@ type Result struct {
 	// Evaluations counts how many times the iterative similarity formula
 	// was evaluated.
 	Evaluations int
-	// Rounds is the number of iteration rounds performed.
+	// Rounds is the number of iteration rounds performed, including the
+	// fast path's certifying rounds after its estimation pass.
 	Rounds int
 	// Estimated reports that the similarity was finished by a closed-form
 	// estimation pass (the default fast path's adaptive cutover, or an
@@ -352,7 +354,13 @@ func MatchComposite(log1, log2 *Log, opts ...Option) (*Result, error) {
 }
 
 func assemble(cr *core.Result, comp1, comp2 [][]string, o *options) (*Result, error) {
-	m, err := matching.SelectWith(o.strategy, cr.Names1, cr.Names2, cr.Sim, o.selectionThreshold, composite.SplitName)
+	// Only composite matching merges names; a plain event name that happens
+	// to contain the separator is one event.
+	var split func(string) []string
+	if comp1 != nil || comp2 != nil {
+		split = composite.SplitName
+	}
+	m, err := matching.SelectWith(o.strategy, cr.Names1, cr.Names2, cr.Sim, o.selectionThreshold, split)
 	if err != nil {
 		return nil, err
 	}

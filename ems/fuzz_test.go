@@ -2,8 +2,11 @@ package ems
 
 import (
 	"bytes"
+	"math"
 	"strings"
 	"testing"
+
+	"repro/internal/core"
 )
 
 // FuzzReadResultJSON checks the result-persistence reader: it must never
@@ -50,6 +53,77 @@ func FuzzReadResultJSON(f *testing.F) {
 			if back.Sim[i] != r.Sim[i] {
 				t.Fatalf("round trip changed sim[%d]: %v vs %v", i, back.Sim[i], r.Sim[i])
 			}
+		}
+	})
+}
+
+// FuzzMatch runs raw CSV bytes through the path dirty logs take — the
+// lenient reader, then Match with the repair pipeline under the default
+// fast path — and checks what every accepted pair must yield: no panic,
+// every similarity in [0,1], an injective mapping over names of the result,
+// and a certificate within the default budget unless the run stopped at its
+// round cap.
+func FuzzMatch(f *testing.F) {
+	f.Add([]byte("case,event\nc1,A\nc1,B\nc1,C\nc2,A\nc2,C\n"),
+		[]byte("case,event\nc1,1\nc1,2\nc1,3\nc2,1\nc2,3\n"))
+	f.Add([]byte("case,event\nc1,A\nc1,B\nc1,A\nc1,B\nc2,B\nc2,A\n"),
+		[]byte("case,event\nc1,x\nc1,y\nc2,y\nc2,x\nc2,y\n"))
+	f.Add([]byte("case,event\nc1,A\nc1,\"B,\"\"q\"\"\"\nc1,C,extra\n\"broken\nc2,A\r\nc2,C\n"),
+		[]byte("case,event\nc1,1\nc1,1\nc1,2\nc2,3\n"))
+	f.Add([]byte("case,event\n"), []byte("case,event\nc1,1\n"))
+	f.Add([]byte("no header"), []byte(""))
+	maxRounds := core.DefaultConfig().MaxRounds
+	f.Fuzz(func(t *testing.T, csv1, csv2 []byte) {
+		if len(csv1)+len(csv2) > 8<<10 {
+			return // engine cost grows with the events, not the fuzzed parsing
+		}
+		lenient := ReadOptions{Lenient: true}
+		l1, _, err := ReadCSVWith(bytes.NewReader(csv1), "log1", lenient)
+		if err != nil {
+			return
+		}
+		l2, _, err := ReadCSVWith(bytes.NewReader(csv2), "log2", lenient)
+		if err != nil {
+			return
+		}
+		r, err := Match(l1, l2, WithRepair())
+		if err != nil {
+			return
+		}
+		if len(r.Sim) != len(r.Names1)*len(r.Names2) {
+			t.Fatalf("%d similarities for %dx%d names", len(r.Sim), len(r.Names1), len(r.Names2))
+		}
+		for i, v := range r.Sim {
+			if !(v >= 0 && v <= 1) {
+				t.Fatalf("Sim[%d] = %v outside [0,1]", i, v)
+			}
+		}
+		known := [2]map[string]bool{{}, {}}
+		for _, n := range r.Names1 {
+			known[0][n] = true
+		}
+		for _, n := range r.Names2 {
+			known[1][n] = true
+		}
+		used := [2]map[string]bool{{}, {}}
+		for _, c := range r.Mapping {
+			for side, group := range [2][]string{c.Left, c.Right} {
+				if len(group) != 1 {
+					t.Fatalf("1:1 match has a %d-event group: %+v", len(group), c)
+				}
+				n := group[0]
+				if !known[side][n] {
+					t.Fatalf("mapping names %q, which log %d's result lacks", n, side+1)
+				}
+				if used[side][n] {
+					t.Fatalf("mapping uses %q of log %d twice", n, side+1)
+				}
+				used[side][n] = true
+			}
+		}
+		if math.IsNaN(r.ErrorBound) || r.ErrorBound < 0 ||
+			r.ErrorBound > core.DefaultFastPathBudget && r.Rounds < maxRounds {
+			t.Fatalf("ErrorBound %v after %d of %d rounds, budget %v", r.ErrorBound, r.Rounds, maxRounds, core.DefaultFastPathBudget)
 		}
 	})
 }

@@ -8,10 +8,12 @@ import (
 	"repro/internal/obs"
 )
 
-// TestWithProgress checks that the observer fires once per round (plus one
-// synthetic final observation when an estimation pass finishes the run),
-// that the trajectory it reports matches the result, and that arming it
-// changes no numbers.
+// TestWithProgress checks that the observer fires once per exact round,
+// in order, plus one synthetic final observation when an estimation pass
+// finishes the run; that the final observation reports the result's round
+// count, which includes the certifying round after the estimate; that the
+// trajectory it reports matches the result; and that arming it changes no
+// numbers.
 func TestWithProgress(t *testing.T) {
 	l1, l2 := paperLogs()
 	base, err := ems.Match(l1, l2)
@@ -25,21 +27,36 @@ func TestWithProgress(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := res.Rounds
-	if res.Estimated {
-		want++ // the post-estimation synthetic round boundary
+	if len(got) == 0 {
+		t.Fatal("observer never called")
 	}
-	if len(got) != want {
-		t.Fatalf("%d observations for %d rounds (estimated=%v)", len(got), res.Rounds, res.Estimated)
+	exact := len(got)
+	if res.Estimated {
+		exact-- // the post-estimation synthetic round boundary
+	}
+	for i, ob := range got[:exact] {
+		if ob.Round != i+1 {
+			t.Fatalf("observation %d reports round %d (estimated=%v)", i, ob.Round, res.Estimated)
+		}
 	}
 	last := got[len(got)-1]
+	if last.Round != res.Rounds {
+		t.Errorf("final observation reports round %d, result has %d rounds", last.Round, res.Rounds)
+	}
 	if res.Estimated {
-		estimated := false
+		if last.Round <= got[exact-1].Round {
+			t.Errorf("final observation at round %d does not follow the cutover round %d", last.Round, got[exact-1].Round)
+		}
+		estimated, bound := false, 0.0
 		for _, d := range last.Dirs {
 			estimated = estimated || d.Estimated
+			bound = max(bound, d.ErrorBound)
 		}
 		if !estimated {
 			t.Error("final observation of an estimated run reports no Estimated direction")
+		}
+		if bound != res.ErrorBound {
+			t.Errorf("final observation carries ErrorBound %g, result has %g", bound, res.ErrorBound)
 		}
 	}
 	evals := 0

@@ -151,13 +151,14 @@ func WithExact() Option {
 }
 
 // WithFastPath tunes the adaptive estimation-seeded fast path (on by
-// default): exact Jacobi rounds run until the delta-decay ratio proves the
-// geometric tail, then one closed-form estimation pass plus a certifying
-// residual round replace the remaining iterations. budget is the per-pair
-// absolute error the cutover detector aims for, in [0, 1); 0 picks the
-// default (core.DefaultFastPathBudget). Every run certifies its actual
-// worst-case error a posteriori in Result.ErrorBound, which is typically
-// far below the budget. Overrides an earlier WithExact.
+// default): exact Jacobi rounds run until the contraction bound of a round
+// puts every pair within budget/2 of the fixpoint, then one closed-form
+// estimation pass and a certifying round over the estimate replace the
+// remaining iterations. budget is the per-pair absolute error the run must
+// certify, in [0, 1); 0 picks the default (core.DefaultFastPathBudget).
+// Every run certifies its actual worst-case error a posteriori in
+// Result.ErrorBound, which fits the budget unless the run hits its round
+// cap. Overrides an earlier WithExact.
 func WithFastPath(budget float64) Option {
 	return func(o *options) error {
 		if budget < 0 || budget >= 1 {

@@ -83,17 +83,19 @@ const (
 )
 
 // certGraphs builds a procgen pair of the given shape for the certificate
-// sweep. Both cyclic shapes give the dependency graphs cycles; parallel
-// interleavings also make them dense, like the bench pairs.
-func certGraphs(t *testing.T, seed int64, activities int, shape string) (*depgraph.Graph, *depgraph.Graph) {
+// sweep, each log a playout of traces traces. Both cyclic shapes give the
+// dependency graphs cycles; parallel interleavings also make them dense,
+// like the bench pairs. The model depends only on seed, activities and
+// shape, so a smaller traces plays out the same model.
+func certGraphs(t *testing.T, seed int64, activities, traces int, shape string) (*depgraph.Graph, *depgraph.Graph) {
 	t.Helper()
 	if shape == shapeParallel {
-		return procgenGraphs(t, seed, activities, activities)
+		return procgenGraphs(t, seed, activities, traces)
 	}
 	rng := rand.New(rand.NewSource(seed))
 	opts := procgen.DefaultOptions(activities)
 	opts.AndWeight, opts.LoopProb = 0, 0
-	po := procgen.PlayoutOptions{Traces: activities, XorSkew: 2}
+	po := procgen.PlayoutOptions{Traces: traces, XorSkew: 2}
 	if shape == shapeLoops {
 		opts.LoopProb = 0.3
 		po.LoopRepeat, po.MaxLoop = 0.5, 3
@@ -124,8 +126,10 @@ func certGraphs(t *testing.T, seed int64, activities int, shape string) (*depgra
 // activities), acyclic and cyclic graph shapes, and one and two workers, every run
 // must publish an ErrorBound within its budget (unless it stopped at
 // MaxRounds), and every per-direction similarity must lie within that bound
-// of the naive Definition-2 fixpoint. The sweep must also reach the rounds
-// certify adds after the residual pass; otherwise the loop would go
+// of the naive Definition-2 fixpoint. Warm cases start from the result of a
+// half-size playout of the same model (Seed with nil Fixed), where the
+// estimate has no monotonicity floor. The sweep must also reach the rounds
+// certify adds after its certifying round; otherwise the loop would go
 // untested.
 func TestFastPathCertificateHonest(t *testing.T) {
 	type sweepCase struct {
@@ -133,26 +137,50 @@ func TestFastPathCertificateHonest(t *testing.T) {
 		shape      string
 		alpha, c   float64
 		budget     float64
+		warm       bool
+		seed       int64
 	}
 	var cases []sweepCase
+	cold := func(n int, shape string, alpha, c, budget float64) {
+		cases = append(cases, sweepCase{n, shape, alpha, c, budget, false, int64(100 + len(cases))})
+	}
 	for _, n := range []int{20, 60} {
 		for _, shape := range []string{shapeAcyclic, shapeLoops, shapeParallel} {
 			for _, alpha := range []float64{1, 0.7} {
 				for _, c := range []float64{0.8, 0.5} {
-					cases = append(cases, sweepCase{n, shape, alpha, c, 0})
+					cold(n, shape, alpha, c, 0)
 				}
 			}
-			cases = append(cases, sweepCase{n, shape, 1, 0.8, 0.005})
+			cold(n, shape, 1, 0.8, 0.005)
 		}
 	}
 	if !testing.Short() {
-		cases = append(cases, sweepCase{200, shapeAcyclic, 1, 0.8, 0}, sweepCase{200, shapeLoops, 1, 0.8, 0})
+		cold(200, shapeAcyclic, 1, 0.8, 0)
+		cold(200, shapeLoops, 1, 0.8, 0)
 	}
+	var warmSeed int64 = 500
+	for _, n := range []int{20, 60} {
+		for _, shape := range []string{shapeAcyclic, shapeLoops, shapeParallel} {
+			for _, ab := range [][2]float64{{1, 0}, {0.7, 0}, {1, 0.005}} {
+				cases = append(cases, sweepCase{n, shape, ab[0], 0.8, ab[1], true, warmSeed})
+				warmSeed++
+			}
+		}
+	}
+	// Warm starts under a loose budget cut over early; on these seeds the
+	// estimate lands far enough off that certify needs rounds after its
+	// certifying round.
+	cases = append(cases, sweepCase{20, shapeParallel, 1, 0.8, 0.2, true, 106},
+		sweepCase{40, shapeParallel, 1, 0.8, 0.5, true, 122},
+		sweepCase{40, shapeParallel, 1, 0.8, 0.5, true, 125})
 	looped, cyclic := 0, 0
-	for k, sc := range cases {
+	for _, sc := range cases {
 		name := fmt.Sprintf("n=%d/%s/alpha=%g/c=%g/budget=%g", sc.activities, sc.shape, sc.alpha, sc.c, sc.budget)
+		if sc.warm {
+			name += fmt.Sprintf("/warm/seed=%d", sc.seed)
+		}
 		t.Run(name, func(t *testing.T) {
-			g1, g2 := certGraphs(t, int64(100+k), sc.activities, sc.shape)
+			g1, g2 := certGraphs(t, sc.seed, sc.activities, sc.activities, sc.shape)
 			l1, err := g1.LongestFromArtificial()
 			if err != nil {
 				t.Fatal(err)
@@ -178,13 +206,25 @@ func TestFastPathCertificateHonest(t *testing.T) {
 				cfg.Labels = testLabelSim
 			}
 			budget := cfg.fastPathBudget()
+			var seed *Seed
+			if sc.warm {
+				p1, p2 := certGraphs(t, sc.seed, sc.activities, sc.activities/2, sc.shape)
+				prev, err := Compute(p1, p2, cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				seed = &Seed{From: prev}
+			}
 			var oracle [][]float64
 			var serial *Result
 			for _, workers := range []int{1, 2} {
 				cfg.Workers = workers
-				c, err := NewComputation(g1, g2, cfg, nil)
+				c, err := NewComputation(g1, g2, cfg, seed)
 				if err != nil {
 					t.Fatal(err)
+				}
+				if sc.warm && !c.fwd.warmed {
+					t.Fatal("precondition: the seed carried no pair over")
 				}
 				// Drive the rounds by hand to see how many rounds certify
 				// adds; Run drives the same Step/Finish sequence.
@@ -193,7 +233,10 @@ func TestFastPathCertificateHonest(t *testing.T) {
 						t.Fatal(err)
 					}
 				}
-				extra := 0 // rounds certify adds, summed over directions
+				// extra counts the rounds certify adds after its certifying
+				// round (the one that follows an estimate), summed over
+				// directions.
+				extra := 0
 				for _, e := range c.engines() {
 					extra -= e.round
 				}
@@ -203,11 +246,14 @@ func TestFastPathCertificateHonest(t *testing.T) {
 				}
 				for _, e := range c.engines() {
 					extra += e.round
+					if e.estimated {
+						extra--
+					}
 				}
 				if extra > 0 {
 					looped++
 				}
-				t.Logf("workers=%d: rounds=%d (%d after the residual pass) estimated=%v bound=%.3g",
+				t.Logf("workers=%d: rounds=%d (%d after the certifying round) estimated=%v bound=%.3g",
 					workers, r.Rounds, extra, r.Estimated, r.ErrorBound)
 				if r.ErrorBound > budget && r.Rounds < cfg.MaxRounds {
 					t.Errorf("workers=%d: ErrorBound %g exceeds budget %g after %d rounds", workers, r.ErrorBound, budget, r.Rounds)
@@ -244,6 +290,6 @@ func TestFastPathCertificateHonest(t *testing.T) {
 		t.Errorf("only %d of %d pairs are cyclic", cyclic, len(cases))
 	}
 	if looped == 0 {
-		t.Error("no run of the sweep needed exact rounds after the residual pass; the certificate loop went untested")
+		t.Error("no run of the sweep needed exact rounds after the certifying round; the certificate loop went untested")
 	}
 }

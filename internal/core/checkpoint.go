@@ -30,12 +30,14 @@ type DirCheckpoint struct {
 	// counters at the instant of the checkpoint.
 	Round int
 	Evals int
-	// Converged, Estimated and Warmed restore the corresponding engine
-	// latches; LastDelta is the maximum pair increment of the latest round
-	// (an ingredient of the upper-bound computation).
+	// Converged, Estimated, Warmed and Cutover restore the corresponding
+	// engine latches (Cutover is the fast path's, see Config.FastPath);
+	// LastDelta is the maximum pair increment of the latest round, which
+	// drives the cutover test and the upper-bound computation.
 	Converged bool
 	Estimated bool
 	Warmed    bool
+	Cutover   bool
 	LastDelta float64
 	// N1 and N2 are the matrix dimensions including the artificial event.
 	N1, N2 int
@@ -43,14 +45,6 @@ type DirCheckpoint struct {
 	// exact float64 bits. Both are needed: the estimation pass fits its
 	// recurrence constant from the last two iterates.
 	Cur, Prev []float64
-	// Fast is set for fast-path computations (Config.FastPath); the fields
-	// after it are the delta trajectory the adaptive cutover watches, so a
-	// resumed fast run replays the same cutover decision at the same round.
-	Fast        bool
-	Cutover     bool
-	PrevDelta   float64
-	PrevRatio   float64
-	RatioStreak int
 }
 
 // Checkpoint is a consistent snapshot of a Computation between iteration
@@ -83,23 +77,21 @@ func (cp *Checkpoint) Round() int {
 //	per direction:
 //	  round, evals                            int64 LE each
 //	  flags (bit0 converged, 1 estimated,
-//	         2 warmed, 4 cutover,
-//	         5 fast-path trailer present)     1 byte
+//	         2 warmed, 4 cutover)             1 byte
 //	  lastDelta                               float64 bits LE
 //	  n1, n2                                  uint32 LE each
 //	  cur[n1*n2], prev[n1*n2]                 float64 bits LE each
-//	  if flags bit5 (fast-path trailer):
-//	    prevDelta, prevRatio                  float64 bits LE each
-//	    ratioStreak                           int64 LE
 //	crc32c over everything above              uint32 LE
 //
-// Flag bit3 marked an older fast-path trailer that also carried a one-byte
-// per-pair freeze table after ratioStreak. The engine no longer freezes
-// pairs, so a checkpoint with bit3 set cannot resume bit-identically and
-// decodes as corrupt: its job restarts from round 0. Exact-mode checkpoints
-// never set bit3 or bit5 and decode unchanged.
+// Older fast-path checkpoints carried a trailer after prev for a cutover
+// detector the engine no longer has: flag bit5 marked one holding the decay
+// ratio history, bit3 one that also held a per-pair freeze table. Such a
+// checkpoint cannot resume bit-identically and decodes as corrupt, as does
+// any other unknown flag bit: its job restarts from round 0. Exact-mode
+// checkpoints never set bit3 or bit5 and decode unchanged.
 const (
 	checkpointMagic  = "EMSCKP01"
+	ckpKnownFlags    = 1 | 2 | 4 | 16
 	ckpMagicLen      = 8
 	ckpDirHeaderLen  = 8 + 8 + 1 + 8 + 4 + 4
 	maxCheckpointDir = 2 // a computation has one or two direction engines
@@ -122,9 +114,6 @@ func (cp *Checkpoint) MarshalBinary() ([]byte, error) {
 			return nil, fmt.Errorf("core: checkpoint direction %d has inconsistent dimensions", i)
 		}
 		size += ckpDirHeaderLen + 16*len(d.Cur)
-		if d.Fast {
-			size += 8 + 8 + 8
-		}
 	}
 	buf := make([]byte, 0, size)
 	buf = append(buf, checkpointMagic...)
@@ -147,9 +136,6 @@ func (cp *Checkpoint) MarshalBinary() ([]byte, error) {
 		if d.Cutover {
 			flags |= 16
 		}
-		if d.Fast {
-			flags |= 32
-		}
 		buf = append(buf, flags)
 		buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(d.LastDelta))
 		buf = binary.LittleEndian.AppendUint32(buf, uint32(d.N1))
@@ -159,11 +145,6 @@ func (cp *Checkpoint) MarshalBinary() ([]byte, error) {
 		}
 		for _, v := range d.Prev {
 			buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(v))
-		}
-		if d.Fast {
-			buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(d.PrevDelta))
-			buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(d.PrevRatio))
-			buf = binary.LittleEndian.AppendUint64(buf, uint64(int64(d.RatioStreak)))
 		}
 	}
 	buf = binary.LittleEndian.AppendUint32(buf, crc32.Checksum(buf, ckpCRCTable))
@@ -205,14 +186,13 @@ func (cp *Checkpoint) UnmarshalBinary(data []byte) error {
 		d.Round = int(int64(binary.LittleEndian.Uint64(body[off:])))
 		d.Evals = int(int64(binary.LittleEndian.Uint64(body[off+8:])))
 		flags := body[off+16]
+		if flags&^ckpKnownFlags != 0 {
+			return corrupt(fmt.Sprintf("unknown flags %#x (an older fast-path trailer)", flags&^ckpKnownFlags))
+		}
 		d.Converged = flags&1 != 0
 		d.Estimated = flags&2 != 0
 		d.Warmed = flags&4 != 0
-		if flags&8 != 0 {
-			return corrupt("fast-path trailer with a per-pair freeze table (older format)")
-		}
 		d.Cutover = flags&16 != 0
-		d.Fast = flags&32 != 0
 		d.LastDelta = math.Float64frombits(binary.LittleEndian.Uint64(body[off+17:]))
 		d.N1 = int(binary.LittleEndian.Uint32(body[off+25:]))
 		d.N2 = int(binary.LittleEndian.Uint32(body[off+29:]))
@@ -220,8 +200,9 @@ func (cp *Checkpoint) UnmarshalBinary(data []byte) error {
 		if d.N1 <= 0 || d.N2 <= 0 {
 			return corrupt("non-positive dimensions")
 		}
-		cells := int64(d.N1) * int64(d.N2)
-		if cells > int64(len(body)-off)/16 {
+		// Both dimensions are below 2^32, so the product cannot overflow.
+		cells := uint64(d.N1) * uint64(d.N2)
+		if cells > uint64(len(body)-off)/16 {
 			return corrupt("matrix larger than input")
 		}
 		n := int(cells)
@@ -234,15 +215,6 @@ func (cp *Checkpoint) UnmarshalBinary(data []byte) error {
 		for j := 0; j < n; j++ {
 			d.Prev[j] = math.Float64frombits(binary.LittleEndian.Uint64(body[off:]))
 			off += 8
-		}
-		if d.Fast {
-			if len(body)-off < 24 {
-				return corrupt("truncated fast-path trailer")
-			}
-			d.PrevDelta = math.Float64frombits(binary.LittleEndian.Uint64(body[off:]))
-			d.PrevRatio = math.Float64frombits(binary.LittleEndian.Uint64(body[off+8:]))
-			d.RatioStreak = int(int64(binary.LittleEndian.Uint64(body[off+16:])))
-			off += 24
 		}
 	}
 	if off != len(body) {
@@ -344,21 +316,17 @@ func (c *Computation) checkpointNow() *Checkpoint {
 	cp := &Checkpoint{Fingerprint: c.Fingerprint()}
 	for _, e := range c.engines() {
 		cp.Dirs = append(cp.Dirs, DirCheckpoint{
-			Round:       e.round,
-			Evals:       e.evals,
-			Converged:   e.converged,
-			Estimated:   e.estimated,
-			Warmed:      e.warmed,
-			LastDelta:   e.lastDelta,
-			N1:          e.n1,
-			N2:          e.n2,
-			Cur:         append([]float64(nil), e.cur...),
-			Prev:        append([]float64(nil), e.prev...),
-			Fast:        e.fast,
-			Cutover:     e.cutover,
-			PrevDelta:   e.prevDelta,
-			PrevRatio:   e.prevRatio,
-			RatioStreak: e.ratioStreak,
+			Round:     e.round,
+			Evals:     e.evals,
+			Converged: e.converged,
+			Estimated: e.estimated,
+			Warmed:    e.warmed,
+			Cutover:   e.cutover,
+			LastDelta: e.lastDelta,
+			N1:        e.n1,
+			N2:        e.n2,
+			Cur:       append([]float64(nil), e.cur...),
+			Prev:      append([]float64(nil), e.prev...),
 		})
 	}
 	return cp
@@ -405,13 +373,8 @@ func (c *Computation) Restore(cp *Checkpoint) error {
 		e.converged = d.Converged
 		e.estimated = d.Estimated
 		e.warmed = d.Warmed
+		e.cutover = e.fast && d.Cutover
 		e.lastDelta = d.LastDelta
-		if e.fast && d.Fast {
-			e.cutover = d.Cutover
-			e.prevDelta = d.PrevDelta
-			e.prevRatio = d.PrevRatio
-			e.ratioStreak = d.RatioStreak
-		}
 	}
 	return nil
 }
@@ -433,11 +396,11 @@ func (c *Computation) runLockstep() error {
 	if err := c.Finish(); err != nil {
 		return err
 	}
-	// An estimation pass (explicit EstimateI or fast-path cutover) moves the
-	// matrices after the last round; without a final boundary a progress
-	// consumer would see the run stall mid-flight and then complete. Emit
-	// one synthetic boundary carrying Estimated (and, on the fast path, the
-	// certified ErrorBound).
+	// An estimation pass (explicit EstimateI or fast-path cutover) and the
+	// fast path's certifying rounds move the matrices after the last
+	// boundary; without a final boundary a progress consumer would see the
+	// run stall mid-flight and then complete. Emit one synthetic boundary
+	// carrying Estimated (and, on the fast path, the certified ErrorBound).
 	for _, e := range c.engines() {
 		if e.estimated {
 			c.roundBoundary(true)

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"os"
+	"path/filepath"
 	"testing"
 )
 
@@ -37,7 +38,7 @@ func TestCheckpointedRunBitIdenticalAndResumable(t *testing.T) {
 			if cfg.FastPath && !baseline.Estimated {
 				// The fast-path cases exist to cover resume-mid-fastpath:
 				// a workload that epsilon-converges before the cutover
-				// would silently skip the detector-state round-trip.
+				// would silently skip the cutover-state round-trip.
 				t.Fatalf("fast path never cut over on this workload (rounds=%d)", baseline.Rounds)
 			}
 
@@ -58,8 +59,9 @@ func TestCheckpointedRunBitIdenticalAndResumable(t *testing.T) {
 			// Resuming from every captured checkpoint — after a
 			// serialization round-trip, under a different worker budget and
 			// with the deprecated Tiled flag flipped — must reproduce the
-			// baseline exactly. For the fast-path cases this includes checkpoints taken before the cutover, so the
-			// detector state (delta history, ratio streak) round-trips too.
+			// baseline exactly. For the fast-path cases this includes
+			// checkpoints taken before the cutover, so the delta the cutover
+			// test reads round-trips too.
 			for k, cp := range cps {
 				data, err := cp.MarshalBinary()
 				if err != nil {
@@ -276,12 +278,14 @@ func TestCheckpointMarshalRejectsInconsistent(t *testing.T) {
 	}
 }
 
-// TestCheckpointOlderFormat pins how checkpoints written before the engine
-// stopped freezing pairs decode. Both files in testdata were taken at round
-// 2 of the procgen pair below under DefaultConfig. The exact-mode one has
-// the same encoding today and must resume bit-identically. The fast-path one
-// carries a per-pair freeze table in its trailer; it must decode as corrupt,
-// which makes emsd discard it and restart the job from round 0.
+// TestCheckpointOlderFormat pins how checkpoints written by older engines
+// decode. All files in testdata were taken at round 2 of the procgen pair
+// below under DefaultConfig, the fast-path ones with FastPath on. The
+// exact-mode one has the same encoding today and must resume
+// bit-identically. The fast-path ones carry a trailer for a cutover detector
+// the engine no longer has: the decay ratio history (flag bit 5), and before
+// that also a per-pair freeze table (flag bit 3). Both must decode as
+// corrupt, which makes emsd discard them and restart the job from round 0.
 func TestCheckpointOlderFormat(t *testing.T) {
 	g1, g2 := procgenGraphs(t, 7, 12, 40)
 
@@ -320,13 +324,15 @@ func TestCheckpointOlderFormat(t *testing.T) {
 		requireBitIdentical(t, baseline, resumed, fmt.Sprintf("resume workers=%d", workers))
 	}
 
-	data, err = os.ReadFile("testdata/checkpoint_freeze_table_round2.bin")
-	if err != nil {
-		t.Fatal(err)
-	}
-	var old Checkpoint
-	if err := old.UnmarshalBinary(data); !errors.Is(err, ErrCorruptCheckpoint) {
-		t.Fatalf("fast-path checkpoint with a freeze table: got %v, want ErrCorruptCheckpoint", err)
+	for _, name := range []string{"checkpoint_freeze_table_round2.bin", "checkpoint_ratio_trailer_round2.bin"} {
+		data, err = os.ReadFile(filepath.Join("testdata", name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var old Checkpoint
+		if err := old.UnmarshalBinary(data); !errors.Is(err, ErrCorruptCheckpoint) {
+			t.Fatalf("%s: got %v, want ErrCorruptCheckpoint", name, err)
+		}
 	}
 }
 

@@ -23,7 +23,7 @@ type Result struct {
 	// both directions (the "number of iterations" metric of Figures 6/12).
 	Evaluations int
 	// Rounds is the maximum number of iteration rounds performed by either
-	// direction.
+	// direction, including the fast path's certifying rounds.
 	Rounds int
 	// Converged reports whether iteration stopped by convergence (or by a
 	// deliberate estimation cutover) rather than by the MaxRounds cap.
@@ -35,8 +35,8 @@ type Result struct {
 	// ErrorBound is the certified per-pair absolute error bound of a
 	// fast-path run (Config.FastPath): the worst direction's a-posteriori
 	// Banach bound. It is at most the fast-path budget unless the run hit
-	// MaxRounds. Zero for exact and explicit EstimateI runs, which do not
-	// pay for the certification pass.
+	// MaxRounds. Zero for exact and explicit EstimateI runs, which are not
+	// certified, and for fast runs that Proposition 2 proved exact.
 	ErrorBound float64
 	// Pruned counts the pair evaluations that Proposition 2 proved
 	// converged and skipped, summed over both directions and all rounds.
@@ -261,9 +261,9 @@ func (c *Computation) Step() (done bool, err error) {
 
 // Finish completes the computation: any remaining exact rounds are skipped
 // and, in estimation mode or after a fast-path cutover, the closed-form
-// estimate is applied (followed by the fast path's certifying residual
-// pass). Use it after deciding not to abort a stepwise computation.
-// Idempotent.
+// estimate is applied; on the fast path the certification follows, which
+// may run further rounds. Use it after deciding not to abort a stepwise
+// computation. Idempotent.
 func (c *Computation) Finish() error {
 	for _, e := range c.engines() {
 		if err := e.finish(); err != nil {

@@ -78,19 +78,21 @@ type Config struct {
 	// precedence over FastPath (the cutover round is fixed, not adaptive).
 	EstimateI int
 	// FastPath enables the adaptive estimation-seeded fast path: exact
-	// Jacobi rounds run while the engine watches the per-round delta-decay
-	// ratio; once the geometric tail is detected — or the contraction bound
-	// delta*ac/(1-ac) (Banach, with ac = Alpha*C) proves the remaining change
-	// is below FastPathBudget/2 — the iteration cuts over to the per-pair
-	// closed-form estimate of Section 3.5, fitted from the last two exact
-	// iterates. The result carries a rigorous a-posteriori error bound
-	// (Result.ErrorBound), computed from one residual evaluation of the
-	// final matrix: |S - S*| <= residual/(1-ac) per pair. While that bound
-	// exceeds FastPathBudget, further exact rounds run, each certifying
-	// delta*ac/(1-ac), so the bound fits the budget unless MaxRounds stops
-	// the run first. FastPath never fires on runs that converge to Epsilon
-	// before the cutover criterion is met, and is deterministic at every
-	// worker count. Ignored when EstimateI >= 0.
+	// Jacobi rounds run until a round's maximum increment delta proves,
+	// through the contraction bound delta*ac/(1-ac) (Banach, with
+	// ac = Alpha*C), that every pair is within FastPathBudget/2 of the
+	// fixpoint. The iteration then cuts over to the per-pair closed-form
+	// estimate of Section 3.5, fitted from the last two exact iterates, and
+	// runs one ordinary round over the estimate to certify it: the result
+	// carries the rigorous a-posteriori bound delta*ac/(1-ac) of that round
+	// (Result.ErrorBound). While the bound exceeds FastPathBudget, further
+	// exact rounds run, each certifying its own delta, so the bound fits the
+	// budget unless MaxRounds stops the run first; the certifying round runs
+	// even when the cutover came at MaxRounds. A run that converges to
+	// Epsilon first certifies its last delta the same way, and one that
+	// Proposition 2 proved converged is exact (ErrorBound 0). Every round is
+	// counted in Result.Rounds and Result.Evaluations. The fast path is
+	// deterministic at every worker count. Ignored when EstimateI >= 0.
 	FastPath bool
 	// FastPathBudget is the per-pair absolute error budget the fast path
 	// aims for; <= 0 picks DefaultFastPathBudget. Must be < 1.

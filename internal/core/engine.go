@@ -105,28 +105,17 @@ type dirEngine struct {
 
 	// Fast-path state (Config.FastPath). fast is armed when FastPath is on
 	// and no explicit EstimateI overrides it; budget is the resolved error
-	// budget. The cutover detector tracks the global delta trajectory
-	// (prevDelta, prevRatio, ratioStreak): it is driven by order-independent
-	// reductions, so fast-path decisions are bit-identical at every worker
-	// count. errorBound is the certified a-posteriori bound once computed
-	// (see certify); certified latches the residual pass.
-	fast        bool
-	budget      float64
-	prevDelta   float64
-	prevRatio   float64
-	ratioStreak int
-	cutover     bool
-	errorBound  float64
-	certified   bool
+	// budget. cutover latches once the contraction bound of a round fits
+	// half the budget; it reads only the order-independent global max delta,
+	// so fast-path decisions are bit-identical at every worker count.
+	// errorBound is the certified a-posteriori bound once computed (see
+	// certify); certified latches the certification.
+	fast       bool
+	budget     float64
+	cutover    bool
+	errorBound float64
+	certified  bool
 }
-
-// Fast-path tuning knobs: the ratio-based cutover needs the observed decay
-// ratio stable within ratioStabilityTol (relative) for ratioStableRounds
-// consecutive rounds before trusting the geometric-tail extrapolation.
-const (
-	ratioStableRounds = 3
-	ratioStabilityTol = 0.05
-)
 
 // newDirEngine builds the per-direction engine. Both graphs must contain the
 // artificial event. pool may be nil (serial) and is shared between the two
@@ -549,50 +538,17 @@ func (e *dirEngine) step() (float64, error) {
 	return maxDelta, nil
 }
 
-// updateCutover decides, from the round's global max increment, whether the
-// fast path may stop iterating exactly and hand over to the closed-form
-// estimate. Two triggers:
-//
-//   - Contraction bound (rigorous): formula (1) is an (alpha*c)-contraction
-//     in the sup norm, so the distance to the fixpoint is at most
-//     delta*ac/(1-ac) (Banach). Once that is within half the budget, the
-//     remaining rounds cannot move any pair meaningfully.
-//   - Geometric tail (heuristic, certified afterwards): when the observed
-//     decay ratio r = delta_k/delta_{k-1} has been stable for
-//     ratioStableRounds rounds, the remaining change extrapolates to
-//     delta*r/(1-r); cutting over once that is within the budget is the
-//     adaptive version of hand-picking EstimateI. It may fire earlier than
-//     the contraction bound because the fitted estimate applies most of the
-//     extrapolated tail instead of discarding it, and the publishing
-//     residual pass contracts the remaining error by another factor ac. The
-//     residual pass (residualBound) certifies the actual error either way.
-//
-// Both triggers read only the order-independent global max delta, so the
-// cutover round is identical at every worker count.
+// updateCutover latches the fast path's cutover once the round's global max
+// increment delta proves the iteration nearly converged. Formula (1) is an
+// (alpha*c)-contraction in the sup norm, so the current iterate lies within
+// delta*ac/(1-ac) of the fixpoint (Banach); once that is within half the
+// budget, the per-pair estimate of Section 3.5 replaces the remaining
+// rounds. The fit needs two exact iterates. Reading only the
+// order-independent global max delta keeps the cutover round identical at
+// every worker count.
 func (e *dirEngine) updateCutover(delta float64) {
-	defer func() { e.prevDelta = delta }()
-	if e.round < 2 {
-		return // the per-pair fit needs two exact iterates
-	}
 	ac := e.cfg.Alpha * e.cfg.C
-	half := e.budget / 2
-	if ac < 1 && delta*ac/(1-ac) <= half {
-		e.cutover = true
-		return
-	}
-	if e.prevDelta <= 0 {
-		e.prevRatio = 0
-		e.ratioStreak = 0
-		return
-	}
-	r := delta / e.prevDelta
-	if r < 1 && e.prevRatio > 0 && math.Abs(r-e.prevRatio) <= ratioStabilityTol*e.prevRatio {
-		e.ratioStreak++
-	} else {
-		e.ratioStreak = 0
-	}
-	e.prevRatio = r
-	if e.ratioStreak >= ratioStableRounds-1 && r < 1 && delta*r/(1-r) <= e.budget {
+	if e.round >= 2 && delta*ac/(1-ac) <= e.budget/2 {
 		e.cutover = true
 	}
 }
@@ -650,8 +606,7 @@ func (e *dirEngine) run() error {
 // finish completes the non-iterative tail of a run: the closed-form
 // estimation pass when one is owed (explicit EstimateI, or a fast-path
 // cutover) and, on the fast path, the certification. Idempotent — estimate
-// and residualBound both latch, and certify's loop ends in a state that
-// does not re-enter it.
+// and certify both latch.
 func (e *dirEngine) finish() error {
 	if !e.converged && (e.cfg.EstimateI >= 0 || e.cutover) {
 		if err := e.estimate(); err != nil {
@@ -664,18 +619,36 @@ func (e *dirEngine) finish() error {
 	return nil
 }
 
-// certify makes the fast path's certificate fit its budget. It runs the
-// residual pass and then, while the certified bound still exceeds the
-// budget, further exact rounds: after a round with maximum increment delta
-// the new iterate lies within delta*ac/(1-ac) of the fixpoint (Banach), and
-// that bound replaces the previous one. It stops once the bound fits the
+// certify computes the fast path's certificate. After a round with maximum
+// increment delta the iterate lies within delta*ac/(1-ac) of the fixpoint
+// (the a-posteriori Banach bound, valid from any start), so:
+//
+//   - a run that Proposition 2 proved converged (Prune, round >= bound) is
+//     exact and certifies 0;
+//   - an estimated run, or one that has not iterated yet, first runs one
+//     ordinary round, counted like any other;
+//   - the bound is then the last round's delta*ac/(1-ac), which covers an
+//     epsilon-converged run without a further round.
+//
+// While the bound exceeds the budget, further exact rounds run, each
+// replacing the bound with its own. The loop stops once the bound fits the
 // budget or at MaxRounds, so Result.ErrorBound exceeds the budget only on a
 // run that hit the round cap.
 func (e *dirEngine) certify() error {
-	if err := e.residualBound(); err != nil {
-		return err
+	if e.certified {
+		return e.stopErr()
+	}
+	e.certified = true
+	if e.cfg.Prune && e.bound != depgraph.Infinite && e.round >= e.bound {
+		return nil
+	}
+	if e.estimated || e.round == 0 {
+		if _, err := e.step(); err != nil {
+			return err
+		}
 	}
 	ac := e.cfg.Alpha * e.cfg.C
+	e.errorBound = e.lastDelta * ac / (1 - ac)
 	for e.errorBound > e.budget && e.round < e.cfg.MaxRounds {
 		delta, err := e.step()
 		if err != nil {
@@ -694,12 +667,12 @@ func (e *dirEngine) certify() error {
 // convergence bound min(l(v1), l(v2)) (the limit a/(1-q) when unbounded).
 //
 // Two refinements tighten the estimate without leaving the paper's
-// framework (the paper leaves the estimation bound as future work):
-// the exact S^I is a lower bound of the limit (Theorem 1 monotonicity), so
-// the estimate is clamped from below; and when two exact iterates are
-// available (I >= 2), the recurrence constant a is fitted per pair from the
-// observed step a = S^I - q*S^(I-1) instead of assuming every edge
-// agreement reaches its maximum c — the fitted recurrence has the same
+// framework (the paper leaves the estimation bound as future work): on a
+// cold start the exact S^I is a lower bound of the limit (Theorem 1
+// monotonicity), so the estimate is clamped from below; and when two exact
+// iterates are available (I >= 2), the recurrence constant a is fitted per
+// pair from the observed step a = S^I - q*S^(I-1) instead of assuming every
+// edge agreement reaches its maximum c — the fitted recurrence has the same
 // closed form and converges to the exact similarity as I grows.
 func (e *dirEngine) estimate() error {
 	if e.estimated {
@@ -710,19 +683,6 @@ func (e *dirEngine) estimate() error {
 		return err
 	}
 	I := e.round
-	// At a fast-path cutover the estimate is additionally clamped to a
-	// window around the last exact iterate: the contraction argument bounds
-	// the true fixpoint within lastDelta*ac/(1-ac) of S^I, so no estimate —
-	// however confident the fitted recurrence — may leave that window.
-	// Warm starts void monotonicity but not the contraction, so their
-	// window is symmetric instead of one-sided.
-	fastCut := e.fast && e.cutover
-	window := math.Inf(1)
-	if fastCut {
-		if ac := e.cfg.Alpha * e.cfg.C; ac < 1 {
-			window = e.lastDelta * ac / (1 - ac)
-		}
-	}
 	// Each pair's estimate depends only on its own cur/prev entries, so the
 	// rows parallelize like step().
 	e.forRows(1, e.n1, func(w, lo, hi int) {
@@ -755,100 +715,16 @@ func (e *dirEngine) estimate() error {
 					pw := math.Pow(q, float64(h-I))
 					est = pw*e.cur[idx] + a*(1-pw)/(1-q)
 				}
-				if est > e.cur[idx]+window {
-					est = e.cur[idx] + window
-				}
-				// The exact S^I is a lower bound of the true similarity
-				// (Theorem 1 monotonicity), so never estimate below it —
-				// except after a warm start, where the fixpoint may sit
-				// below the seeded iterate, bounded by the window.
-				floor := e.cur[idx]
-				if e.warmed && fastCut {
-					floor = e.cur[idx] - window
-				}
-				if est < floor {
-					est = floor
+				// A warm start voids monotonicity: its fixpoint may sit
+				// below the seeded iterate.
+				if !e.warmed && est < e.cur[idx] {
+					est = e.cur[idx]
 				}
 				e.cur[idx] = clamp01(est)
 			}
 		}
 	})
 	return e.stopErr()
-}
-
-// residualBound certifies the fast path's output: it evaluates one full
-// round of formula (1) over the final matrix S and converts the maximum
-// residual into the a-posteriori Banach bound, valid for any starting point
-// (cold or warm) and any estimate — whatever the fast path did to get here,
-// the bound holds.
-//
-// After an estimation pass the computed round F(S) is also published as the
-// final matrix: the round has been paid for, and the contraction maps it a
-// factor ac closer to the fixpoint, so the certified bound tightens from
-// |F(S)-S|/(1-ac) to |F(S)-S|*ac/(1-ac). An epsilon-converged fast run keeps
-// S instead (its values must match what convergence reported) and carries
-// the plain bound. Either way the result lands in e.errorBound and is
-// surfaced as Result.ErrorBound.
-func (e *dirEngine) residualBound() error {
-	if e.certified {
-		return e.stopErr()
-	}
-	e.certified = true
-	if err := e.checkStop(); err != nil {
-		return err
-	}
-	publish := e.estimated
-	copy(e.prev, e.cur)
-	for w := 0; w < e.workers; w++ {
-		e.deltaW[w] = 0
-	}
-	e.forRows(1, e.n1, func(w, lo, hi int) {
-		if e.checkStop() != nil {
-			return
-		}
-		var maxRes float64
-		for v1 := lo; v1 < hi; v1++ {
-			if e.frozen1[v1] {
-				continue
-			}
-			row := v1 * e.n2
-			for v2 := 1; v2 < e.n2; v2++ {
-				if e.frozen2[v2] {
-					continue
-				}
-				idx := row + v2
-				s12, s21 := e.oneSides(v1, v2, w)
-				v := e.cfg.Alpha*(s12+s21)/2 + (1-e.cfg.Alpha)*e.lab[idx]
-				if d := math.Abs(v - e.prev[idx]); d > maxRes {
-					maxRes = d
-				}
-				if publish {
-					e.cur[idx] = v
-				}
-			}
-		}
-		if maxRes > e.deltaW[w] {
-			e.deltaW[w] = maxRes
-		}
-	})
-	if err := e.stopErr(); err != nil {
-		return err
-	}
-	var res float64
-	for _, d := range e.deltaW {
-		if d > res {
-			res = d
-		}
-	}
-	e.errorBound = res
-	if ac := e.cfg.Alpha * e.cfg.C; ac < 1 {
-		if publish {
-			e.errorBound = res * ac / (1 - ac)
-		} else if ac > 0 {
-			e.errorBound = res / (1 - ac)
-		}
-	}
-	return nil
 }
 
 // estimationCoefficients returns (a, q) of formula (2) for the pair (v1,v2).

@@ -195,3 +195,33 @@ func TestFastPathDeterministic(t *testing.T) {
 		}
 	}
 }
+
+// TestFastPathFinishBeforeFirstRound: a stepwise fast-path computation
+// finished before any round has no round delta to certify from, so
+// certification must iterate itself instead of reporting a zero bound.
+func TestFastPathFinishBeforeFirstRound(t *testing.T) {
+	g1, g2 := procgenGraphs(t, 13, 24, 80)
+	exact, err := Compute(g1, g2, DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := fastConfig()
+	c, err := NewComputation(g1, g2, cfg, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, err := c.Result()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r.Rounds == 0 || r.ErrorBound <= 0 || r.ErrorBound > cfg.fastPathBudget() {
+		t.Fatalf("rounds=%d ErrorBound=%g, want rounds > 0 and 0 < bound <= %g", r.Rounds, r.ErrorBound, cfg.fastPathBudget())
+	}
+	ac := cfg.Alpha * cfg.C
+	allowed := r.ErrorBound + cfg.Epsilon*ac/(1-ac) + 1e-12
+	for i := range exact.Sim {
+		if d := math.Abs(exact.Sim[i] - r.Sim[i]); d > allowed {
+			t.Fatalf("Sim[%d] off by %g, certified allowance %g", i, d, allowed)
+		}
+	}
+}

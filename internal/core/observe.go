@@ -26,8 +26,9 @@ type DirRoundStats struct {
 	// Estimated reports that this direction applied the closed-form
 	// estimation (explicit EstimateI or a fast-path cutover). The final
 	// observation of such a run is a synthetic round boundary emitted after
-	// the estimation pass, so progress consumers see the jump to the final
-	// state instead of a stall.
+	// the estimation pass and, on the fast path, the certifying rounds after
+	// it, so progress consumers see the jump to the final state instead of a
+	// stall; its Round and counters include those certifying rounds.
 	Estimated bool
 	// ErrorBound is the certified a-posteriori error bound of a fast-path
 	// run; zero until the certification pass has run.

@@ -13,7 +13,7 @@ import (
 // procgenGraphs plays a random process specification out twice with
 // independent choice skews and returns the two dependency graphs — the same
 // heterogeneous-pair construction the experiments use.
-func procgenGraphs(t *testing.T, seed int64, activities, traces int) (*depgraph.Graph, *depgraph.Graph) {
+func procgenGraphs(t testing.TB, seed int64, activities, traces int) (*depgraph.Graph, *depgraph.Graph) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
 	spec, err := procgen.Generate(rng, procgen.DefaultOptions(activities))

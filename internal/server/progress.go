@@ -23,8 +23,11 @@ type RoundProgress struct {
 	Evals  int `json:"evals"`
 	Pruned int `json:"pruned"`
 	// Estimated marks the synthetic final round an estimation pass reports
-	// (the engine's fast-path cutover); the round's delta is then the jump
-	// the estimate applied, not an iteration increment.
+	// (the engine's fast-path cutover). It stands for the estimate and the
+	// certifying round(s) after it: its round and counters are the last
+	// certifying round's, and on the fast path its delta is the increment
+	// that round measured over the estimate, which the certified ErrorBound
+	// is derived from.
 	Estimated bool `json:"estimated,omitempty"`
 }
 
