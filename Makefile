@@ -99,11 +99,14 @@ cluster-test:
 
 # Dirty-log resilience suite under the race detector — the repair pipeline
 # and lenient readers, then their integration seams in ems, emsd, and
-# emsmatch — followed by a quick-scale run of the noise-robustness
-# experiment so the EMS+repair rows stay reproducible end to end.
+# emsmatch — then one pass of the lenient reader's plain-row and quoted-row
+# benchmarks, so both keep building and running, and a quick-scale run of
+# the noise-robustness experiment so the EMS+repair rows stay reproducible
+# end to end.
 repair-test:
 	$(GO) test -race -timeout $(RACE_TIMEOUT) ./internal/repair ./internal/eventlog
 	$(GO) test -race -timeout $(RACE_TIMEOUT) -run 'Repair|Lenient' ./ems ./internal/server ./cmd/emsmatch
+	$(GO) test -run '^$$' -bench 'ReadCSVLenient' -benchtime 1x .
 	$(GO) run ./cmd/emsbench -robustness
 
 # Overload-resilience suite under the race detector: the chaos registry's

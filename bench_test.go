@@ -10,7 +10,9 @@ package repro
 
 import (
 	"bytes"
+	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"repro/ems"
@@ -263,20 +265,34 @@ func BenchmarkDepgraphBuild(b *testing.B) {
 }
 
 // BenchmarkReadCSVLenient times the lenient line-by-line CSV reader on a
-// 40-event, 100-trace log, the ingestion path of dirty logs.
+// 40-event, 100-trace log, the ingestion path of dirty logs, once per row
+// path: "plain" is the log as WriteCSV writes it, every row split in place;
+// "quoted" quotes every field, so every row goes through encoding/csv.
 func BenchmarkReadCSVLenient(b *testing.B) {
 	p := benchPairLogs(b, 40)
-	var doc bytes.Buffer
-	if err := eventlog.WriteCSV(&doc, p.Log1); err != nil {
+	var plain, quoted bytes.Buffer
+	if err := eventlog.WriteCSV(&plain, p.Log1); err != nil {
 		b.Fatal(err)
 	}
-	b.SetBytes(int64(doc.Len()))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, _, err := eventlog.ReadCSVWith(bytes.NewReader(doc.Bytes()), "bench", eventlog.ReadOptions{Lenient: true}); err != nil {
-			b.Fatal(err)
+	quoted.WriteString("case,event\n")
+	for i, t := range p.Log1.Traces {
+		for _, ev := range t {
+			fmt.Fprintf(&quoted, "\"case-%d\",\"%s\"\n", i, strings.ReplaceAll(ev, `"`, `""`))
 		}
+	}
+	for _, doc := range []struct {
+		name string
+		data []byte
+	}{{"plain", plain.Bytes()}, {"quoted", quoted.Bytes()}} {
+		b.Run(doc.name, func(b *testing.B) {
+			b.SetBytes(int64(len(doc.data)))
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, _, err := eventlog.ReadCSVWith(bytes.NewReader(doc.data), "bench", eventlog.ReadOptions{Lenient: true}); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 

@@ -67,6 +67,11 @@ func (r *SkipReport) note(format string, args ...any) {
 // WriteCSV — cannot be reassembled leniently and is skipped as malformed.
 // The error is non-nil only for structural failures (unreadable input,
 // missing case,event header, or no usable rows at all).
+//
+// Lenient reading splits a plain row (no quote, one comma) in place rather
+// than through encoding/csv, and stores each distinct event name read from
+// plain rows once: in a document of plain rows, as WriteCSV writes names
+// that need no quoting, every occurrence of a name shares one backing array.
 func ReadCSVWith(r io.Reader, name string, o ReadOptions) (*Log, *SkipReport, error) {
 	if !o.Lenient {
 		l, err := ReadCSV(r, name)
@@ -76,7 +81,8 @@ func ReadCSVWith(r io.Reader, name string, o ReadOptions) (*Log, *SkipReport, er
 	br := bufio.NewReaderSize(r, 64<<10)
 	var lp lineParser
 	l := New(name)
-	index := make(map[string]int)
+	index := make(map[string]int)    // case id -> trace
+	names := make(map[string]string) // event name -> its one stored copy
 	headerSeen := false
 	for lineNo := 1; ; lineNo++ {
 		line, oversized, err := readLenientLine(br)
@@ -98,6 +104,23 @@ func ReadCSVWith(r io.Reader, name string, o ReadOptions) (*Log, *SkipReport, er
 			}
 			headerSeen = true
 		default:
+			if id, ev, ok := splitPlainRow(line); ok {
+				// Looked up by string(bytes), a known case or event name
+				// costs no allocation.
+				i, seen := index[string(id)]
+				if !seen {
+					i = len(l.Traces)
+					index[string(id)] = i
+					l.Traces = append(l.Traces, nil)
+				}
+				name, seen := names[string(ev)]
+				if !seen {
+					name = string(ev)
+					names[name] = name
+				}
+				l.Traces[i] = append(l.Traces[i], name)
+				break
+			}
 			rec, perr := lp.parse(line)
 			switch {
 			case perr != nil:
@@ -135,6 +158,31 @@ func ReadCSVWith(r io.Reader, name string, o ReadOptions) (*Log, *SkipReport, er
 		return nil, rep, fmt.Errorf("eventlog: read csv: no usable rows (%d records skipped)", rep.Total())
 	}
 	return l, rep, nil
+}
+
+// splitPlainRow splits a data row that encoding/csv would read as two
+// fields verbatim, in place: a row without a quote and, once one carriage
+// return ending it is dropped as csv.Reader drops it at the end of its
+// input, with exactly one comma. The row must also be one ReadCSVWith
+// keeps: both fields within MaxFieldBytes and a non-empty event. Every
+// other row goes to lineParser, so each skip and its warning come from
+// encoding/csv with its line and column positions.
+func splitPlainRow(line []byte) (id, ev []byte, ok bool) {
+	if n := len(line); n > 0 && line[n-1] == '\r' {
+		line = line[:n-1]
+	}
+	if bytes.IndexByte(line, '"') >= 0 {
+		return nil, nil, false
+	}
+	i := bytes.IndexByte(line, ',')
+	if i < 0 {
+		return nil, nil, false
+	}
+	id, ev = line[:i], line[i+1:]
+	if len(ev) == 0 || bytes.IndexByte(ev, ',') >= 0 || len(id) > MaxFieldBytes || len(ev) > MaxFieldBytes {
+		return nil, nil, false
+	}
+	return id, ev, true
 }
 
 // readLenientLine reads one physical line, without its newline. A line that

@@ -1,8 +1,10 @@
 package eventlog
 
 import (
+	"fmt"
 	"strings"
 	"testing"
+	"unsafe"
 )
 
 func TestReadCSVLenientSkipsMalformedRows(t *testing.T) {
@@ -133,6 +135,83 @@ func TestReadCSVLenientLineEndingsMatchStrict(t *testing.T) {
 	want.Append(Trace{"a", "b\r", "c"})
 	if !strict.Equal(want) || !lenient.Equal(want) || rep.Total() != 0 {
 		t.Fatalf("strict %q, lenient %q (report %+v), want %q", strict.Traces, lenient.Traces, rep, want.Traces)
+	}
+}
+
+// plainRowEdges are data rows at the edges of the lenient reader's
+// plain-row classifier (splitPlainRow): rows it must split as encoding/csv
+// would, and rows it must leave to encoding/csv. The read buffer and
+// MaxFieldBytes are both 64 KiB; a row line of 64 KiB - 1 bytes plus its
+// newline still fits the buffer, one byte more must be joined from pieces.
+var plainRowEdges = []struct{ name, row string }{
+	{"trailing_cr", "c1,a\r"},
+	{"cr_cr", "c1,a\r\r"},
+	{"cr_mid_event", "c1,a\rb"},
+	{"cr_mid_case", "c\r1,a"},
+	{"comma_then_cr", "c1,\r"},
+	{"three_fields", "a,b,c"},
+	{"empty_event", "a,"},
+	{"empty_case", ",b"},
+	{"lone_comma", ","},
+	{"no_comma", "a"},
+	{"spaces", " c1 , a "},
+	{"tabs", "\tc1\t,\ta\t"},
+	{"quoted_case", `"c1",a`},
+	{"bare_quote_in_case", `c"1,a`},
+	{"quoted_event", `c1,"a"`},
+	{"case_at_max", strings.Repeat("c", MaxFieldBytes) + ",a"},
+	{"case_over_max", strings.Repeat("c", MaxFieldBytes+1) + ",a"},
+	{"event_at_max", "c1," + strings.Repeat("e", MaxFieldBytes)},
+	{"event_at_max_cr", "c1," + strings.Repeat("e", MaxFieldBytes) + "\r"},
+	{"event_over_max", "c1," + strings.Repeat("e", MaxFieldBytes+1)},
+	{"nul", "c\x001,a\x00b"},
+	{"invalid_utf8", "c\xff1,\xfe\xfda"},
+	{"under_read_buffer", "c1," + strings.Repeat("u", 64<<10-1-len("c1,"))},
+	{"over_read_buffer", "c1," + strings.Repeat("o", 64<<10-len("c1,"))},
+}
+
+// plainRowEdgeDoc embeds row twice in a document with line separator sep:
+// once between plain rows, once as the last line without a terminator.
+func plainRowEdgeDoc(row, sep string) string {
+	return strings.Join([]string{"case,event", "c0,start", row, "c0,end", row}, sep)
+}
+
+func TestReadCSVLenientPlainRowEdgesMatchOracle(t *testing.T) {
+	for _, r := range plainRowEdges {
+		for _, sep := range []string{"\n", "\r\n"} {
+			t.Run(fmt.Sprintf("%s/sep=%q", r.name, sep), func(t *testing.T) {
+				requireLenientMatchesOracle(t, plainRowEdgeDoc(r.row, sep))
+			})
+		}
+	}
+}
+
+// TestReadCSVLenientInternsEventNames pins the property ReadCSVWith states:
+// in a lenient read of a plain document every occurrence of one event name
+// shares one backing array.
+func TestReadCSVLenientInternsEventNames(t *testing.T) {
+	var b strings.Builder
+	b.WriteString("case,event\n")
+	for i := 0; i < 300; i++ {
+		fmt.Fprintf(&b, "case-%d,event-%d\n", i/30, i%7)
+	}
+	l, rep, err := ReadCSVWith(strings.NewReader(b.String()), "intern", ReadOptions{Lenient: true})
+	if err != nil || rep.Total() != 0 {
+		t.Fatalf("read: %v (report %+v)", err, rep)
+	}
+	data := make(map[string]*byte)
+	for _, tr := range l.Traces {
+		for _, ev := range tr {
+			p := unsafe.StringData(ev)
+			if q, ok := data[ev]; !ok {
+				data[ev] = p
+			} else if q != p {
+				t.Fatalf("event %q stored at two addresses", ev)
+			}
+		}
+	}
+	if len(data) != 7 {
+		t.Fatalf("read %d distinct event names, want 7", len(data))
 	}
 }
 

@@ -6,8 +6,29 @@ import (
 	"encoding/csv"
 	"fmt"
 	"io"
+	"reflect"
 	"strings"
+	"testing"
 )
+
+// requireLenientMatchesOracle fails t unless lenient ReadCSVWith returns on
+// in what oracleReadCSVLenient returns: the same error, the same log and
+// the same SkipReport, warning for warning. It returns the lenient result.
+func requireLenientMatchesOracle(t *testing.T, in string) (*Log, *SkipReport, error) {
+	t.Helper()
+	got, rep, err := ReadCSVWith(strings.NewReader(in), "fuzz", ReadOptions{Lenient: true})
+	want, wantRep, werr := oracleReadCSVLenient(strings.NewReader(in), "fuzz")
+	if (err == nil) != (werr == nil) || (err != nil && err.Error() != werr.Error()) {
+		t.Fatalf("lenient error %v, reference %v", err, werr)
+	}
+	if err == nil && !got.Equal(want) {
+		t.Fatalf("lenient log %q, reference %q", got.Traces, want.Traces)
+	}
+	if !reflect.DeepEqual(rep, wantRep) {
+		t.Fatalf("lenient report %+v, reference %+v", rep, wantRep)
+	}
+	return got, rep, err
+}
 
 // oracleReadCSVLenient is the reference lenient CSV reader: the plain
 // design that parses every physical line with a csv.Reader of its own over
