@@ -168,9 +168,12 @@ bench-core:
 # exact-serial or fast-path-serial wall time regressed more than 25% against
 # the committed trajectory point. Timing-sensitive by nature — run it on a
 # quiet machine and never under the race detector (the TestBenchRegress
-# harness skips itself under -short and -race for the same reason).
+# harness skips itself under -short and -race for the same reason). Then one
+# pass of the formula-(1) kernel benchmark on its sparse and dense pairs, so
+# both keep building and running and print their ns per product.
 bench-regress:
 	$(GO) run ./cmd/emsbench -regress BENCH_core.json
+	$(GO) test -run '^$$' -bench 'SimilarityIterationLarge' -benchtime 1x .
 
 # CPU and heap profiles of the core benchmark, ready for `go tool pprof`:
 #   go tool pprof profiles/cpu.pprof

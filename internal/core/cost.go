@@ -37,7 +37,9 @@ type DirCost struct {
 	MatrixBytes int64
 	// AgreeBytes is the agreement cache: the factor table plus the fIdx1 /
 	// aOff2 index arrays, zero when the table would exceed agreeCacheLimit
-	// and the engine falls back to on-the-fly factors.
+	// and the engine falls back to on-the-fly factors. When the kernel rule
+	// picks the factored kernel for a cold start it also counts that
+	// kernel's key tables and its per-worker row and column maxima.
 	AgreeBytes int64
 	// EdgeBytes covers the pre-translated pre-set offset/frequency tables
 	// and per-worker scratch.
@@ -79,7 +81,8 @@ func EstimateCost(g1, g2 *depgraph.Graph, cfg Config) CostEstimate {
 // wiring: the backward engine runs over Reverse()d graphs, so its in-edge
 // structures are the forward graphs' out-edges; ownsLab is false for the
 // engine that shares the other's label matrix. The math reads straight off
-// newDirEngine/buildPreSets/buildAgreementCache; keep them in sync.
+// newDirEngine/buildPreSets/buildAgreementCache/buildFactored; keep them
+// in sync.
 func estimateDir(g1, g2 *depgraph.Graph, cfg Config, reversed, ownsLab bool) DirCost {
 	n1, n2 := g1.N(), g2.N()
 	d := DirCost{N1: n1, N2: n2}
@@ -112,6 +115,16 @@ func estimateDir(g1, g2 *depgraph.Graph, cfg Config, reversed, ownsLab bool) Dir
 	if distinct*e2 <= agreeCacheLimit {
 		d.AgreeBytes = 8*distinct*e2 + 4*e1 + 4*int64(n2) +
 			sliceHeader*distinct // table row headers
+		// Factored kernel (buildFactored): per g1 key a row offset, a
+		// class and a consumer start, one consumer per g1 edge; per g2 key
+		// a (source, representative) pair, one key index per g2 edge; the
+		// live masks; per worker a row of T and a row of U maxima.
+		fe1, k1 := countKeys(g1, reversed, nil)
+		fe2, k2 := countKeys(g2, reversed, nil)
+		if factoredWins(fe1, k1, fe2, k2) {
+			d.AgreeBytes += 16*k1 + 4*e1 + 8*k2 + 4*e2 + int64(n1+n2) +
+				int64(workers)*8*(int64(n2)+k2)
+		}
 	}
 
 	d.Rounds = convergenceRounds(g1, g2, cfg, reversed)

@@ -94,14 +94,19 @@ func measuredPeakHeap(t *testing.T, fn func() error) int64 {
 // resource governor's cost model: across a procgen size sweep and worker
 // counts 1/2/8, the predicted peak engine heap stays within a factor of two of the measured high-water mark. Tighter would fight the
 // allocator (size classes, GC timing); looser would make -mem-budget
-// admission decisions meaningless.
+// admission decisions meaningless. The sweep covers both kernels: the
+// sparse size runs the classic one, the two denser sizes the factored one.
 func TestEstimateCostTracksMeasuredPeak(t *testing.T) {
 	if testing.Short() {
 		t.Skip("memory sweep is slow; skipped with -short")
 	}
-	sizes := []struct{ events, traces int }{
-		{64, 80},
-		{120, 140},
+	sizes := []struct {
+		events, traces int
+		factored       bool
+	}{
+		{64, 80, false},
+		{120, 140, true},
+		{80, 100, true},
 	}
 	for _, size := range sizes {
 		g1, g2 := costTestPair(t, size.events, size.traces)
@@ -114,10 +119,26 @@ func TestEstimateCostTracksMeasuredPeak(t *testing.T) {
 				t.Fatalf("events=%d workers=%d: empty estimate %+v",
 					size.events, workers, est)
 			}
+			var kernels []kernel
 			measured := measuredPeakHeap(t, func() error {
-				_, err := Compute(g1, g2, cfg)
+				c, err := NewComputation(g1, g2, cfg, nil)
+				if err != nil {
+					return err
+				}
+				if err := c.Run(); err != nil {
+					return err
+				}
+				for _, e := range c.engines() {
+					kernels = append(kernels, e.kernel)
+				}
+				_, err = c.Result()
 				return err
 			})
+			for _, k := range kernels {
+				if (k == kernelFactored) != size.factored {
+					t.Fatalf("events=%d: engine ran kernel %d, want factored = %v", size.events, k, size.factored)
+				}
+			}
 			if measured <= 0 {
 				t.Fatalf("events=%d workers=%d: sampler measured nothing",
 					size.events, workers)

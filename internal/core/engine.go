@@ -57,6 +57,12 @@ type dirEngine struct {
 	fIdx1     [][]int32
 	aOff2     []int32
 
+	// kernel is the formula-(1) kernel, chosen at the first round (see
+	// chooseKernel); fk holds the factored kernel's tables, nil for the
+	// classic kernel.
+	kernel kernel
+	fk     *factored
+
 	// workers is the effective worker count; pool is nil when workers == 1
 	// (the serial path). The pool is shared with the other direction's
 	// engine of the same Computation.
@@ -368,12 +374,6 @@ func trues(mask []bool) int {
 	return n
 }
 
-// edgeAgreement returns C(v1,v1',v2,v2') for the in-edges (p1,v1) of g1
-// and (p2,v2) of g2. Both edges must exist.
-func (e *dirEngine) edgeAgreement(p1, v1, p2, v2 int) float64 {
-	return agreement(e.cfg.C, e.g1.EdgeFreq[p1][v1], e.g2.EdgeFreq[p2][v2])
-}
-
 // agreement is the edge-agreement factor c * (1 - |f1-f2|/(f1+f2)) of two
 // edge frequencies, 0 when both are 0.
 func agreement(c, f1, f2 float64) float64 {
@@ -461,11 +461,12 @@ func (e *dirEngine) oneSides(v1, v2, w int) (s12, s21 float64) {
 // per row-chunk — and returns the latched StopError.
 //
 // The round is a Jacobi update: every pair reads only the immutable prev
-// matrix, so rows are distributed over the worker pool. Within a row the
-// float additions happen in the same order as the serial path, cur writes
-// are disjoint, and the cross-row reductions (max increment, evaluation
-// count) are order-independent — results are bit-identical for any worker
-// count.
+// matrix, so rows (and, in the factored kernel's first phase, columns) are
+// distributed over the worker pool. Every pair's float additions happen in
+// the same order as the serial path, cur writes are disjoint, and the
+// cross-row reductions (max increment, evaluation count) are
+// order-independent — results are bit-identical for any worker count and
+// either kernel (classicStep, factoredStep).
 func (e *dirEngine) step() (float64, error) {
 	e.round++
 	f := failpoint.Fire(failpoint.EngineRound, e.round)
@@ -481,39 +482,14 @@ func (e *dirEngine) step() (float64, error) {
 		e.deltaW[w] = 0
 		e.evalW[w] = 0
 	}
-	e.forRows(1, e.n1, func(w, lo, hi int) {
-		if e.checkStop() != nil {
-			return
-		}
-		var maxDelta float64
-		evals := 0
-		for v1 := lo; v1 < hi; v1++ {
-			if e.frozen1[v1] {
-				continue
-			}
-			row := v1 * e.n2
-			for v2 := 1; v2 < e.n2; v2++ {
-				if e.frozen2[v2] {
-					continue
-				}
-				idx := row + v2
-				if e.cfg.Prune && e.round > min(e.l1[v1], e.l2[v2]) {
-					continue
-				}
-				s12, s21 := e.oneSides(v1, v2, w)
-				v := e.cfg.Alpha*(s12+s21)/2 + (1-e.cfg.Alpha)*e.lab[idx]
-				evals++
-				if d := math.Abs(v - e.prev[idx]); d > maxDelta {
-					maxDelta = d
-				}
-				e.cur[idx] = v
-			}
-		}
-		if maxDelta > e.deltaW[w] {
-			e.deltaW[w] = maxDelta
-		}
-		e.evalW[w] += evals
-	})
+	if e.kernel == kernelRule {
+		e.chooseKernel()
+	}
+	if e.kernel == kernelFactored {
+		e.factoredStep()
+	} else {
+		e.classicStep()
+	}
 	if err := e.stopErr(); err != nil {
 		return 0, err
 	}
@@ -536,6 +512,49 @@ func (e *dirEngine) step() (float64, error) {
 		e.updateCutover(maxDelta)
 	}
 	return maxDelta, nil
+}
+
+// classicStep is one round of formula (1) with the classic kernel: every
+// evaluated pair runs oneSides on its own.
+func (e *dirEngine) classicStep() {
+	e.forRows(1, e.n1, func(w, lo, hi int) {
+		if e.checkStop() != nil {
+			return
+		}
+		var maxDelta float64
+		evals := 0
+		for v1 := lo; v1 < hi; v1++ {
+			if e.skipVertex(e.frozen1, e.l1, v1) {
+				continue
+			}
+			row := v1 * e.n2
+			for v2 := 1; v2 < e.n2; v2++ {
+				if e.skipVertex(e.frozen2, e.l2, v2) {
+					continue
+				}
+				idx := row + v2
+				s12, s21 := e.oneSides(v1, v2, w)
+				v := e.cfg.Alpha*(s12+s21)/2 + (1-e.cfg.Alpha)*e.lab[idx]
+				evals++
+				if d := math.Abs(v - e.prev[idx]); d > maxDelta {
+					maxDelta = d
+				}
+				e.cur[idx] = v
+			}
+		}
+		if maxDelta > e.deltaW[w] {
+			e.deltaW[w] = maxDelta
+		}
+		e.evalW[w] += evals
+	})
+}
+
+// skipVertex reports whether a round skips every pair of row or column v:
+// it is frozen, or pruning has proved it converged. Proposition 2 makes a
+// pair exact after min(l(v1), l(v2)) rounds, so a round past l(v) of
+// either vertex skips the pair.
+func (e *dirEngine) skipVertex(frozen []bool, l []int, v int) bool {
+	return frozen[v] || e.cfg.Prune && e.round > l[v]
 }
 
 // updateCutover latches the fast path's cutover once the round's global max
@@ -736,11 +755,11 @@ func (e *dirEngine) estimationCoefficients(v1, v2 int) (a, q float64) {
 		return (1 - e.cfg.Alpha) * e.lab[v1*e.n2+v2], 0
 	}
 	q = e.cfg.Alpha * e.cfg.C * (2*A*B - A - B) / (2 * A * B)
+	// Pre-sets ascend, so an artificial in-edge is the first one, and the
+	// in-edge frequencies are aligned with the pre-sets.
 	var cx float64
-	_, ok1 := e.g1.Freq(0, v1)
-	_, ok2 := e.g2.Freq(0, v2)
-	if ok1 && ok2 {
-		cx = e.edgeAgreement(0, v1, 0, v2)
+	if e.g1.Pre[v1][0] == 0 && e.g2.Pre[v2][0] == 0 {
+		cx = agreement(e.cfg.C, e.inF1[v1][0], e.inF2[v2][0])
 	}
 	a = e.cfg.Alpha*(A+B)/(2*A*B)*cx + (1-e.cfg.Alpha)*e.lab[v1*e.n2+v2]
 	return a, q

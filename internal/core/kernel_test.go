@@ -7,6 +7,12 @@ import (
 	"testing"
 )
 
+// edgeAgreement returns C(v1,v1',v2,v2') for the in-edges (p1,v1) of g1
+// and (p2,v2) of g2. Both edges must exist.
+func (e *dirEngine) edgeAgreement(p1, v1, p2, v2 int) float64 {
+	return agreement(e.cfg.C, e.g1.EdgeFreq[p1][v1], e.g2.EdgeFreq[p2][v2])
+}
+
 // naiveOneSides is s(v1,v2) and s(v2,v1) of Definition 2 written straight
 // from the definition: the builtin max, edgeAgreement, and the n1 x n2
 // matrix p in place of the engine's prev.
@@ -74,41 +80,72 @@ func kernelTestMatrix(rng *rand.Rand, n1, n2 int) []float64 {
 	return p
 }
 
-// TestKernelMatchesDefinition requires the formula-(1) kernel to reproduce
+// kernelAxis lists the kernels the kernel tests run: the cost rule's own
+// choice (no name suffix) and each kernel forced through kernelOverride.
+var kernelAxis = []struct {
+	k      kernel
+	suffix string
+}{{kernelRule, ""}, {kernelClassic, "/kernel=classic"}, {kernelFactored, "/kernel=factored"}}
+
+// forceKernel sets kernelOverride for the rest of the test.
+func forceKernel(t *testing.T, k kernel) {
+	old := kernelOverride
+	kernelOverride = k
+	t.Cleanup(func() { kernelOverride = old })
+}
+
+// TestKernelMatchesDefinition requires the formula-(1) kernels to reproduce
 // the naive Definition-2 evaluation bit for bit on random procgen graphs:
-// through oneSides directly and through a full round, with and without the
-// agreement cache and at one and two workers.
+// through oneSides directly and through a full round of either kernel, with
+// and without the agreement cache and at one and two workers. The dense
+// size is one on which the cost rule picks the factored kernel by itself.
 func TestKernelMatchesDefinition(t *testing.T) {
 	for _, size := range []struct {
 		seed       int64
 		activities int
-	}{{3, 20}, {4, 70}} {
-		g1, g2 := procgenGraphs(t, size.seed, size.activities, 60)
+		traces     int
+	}{{3, 20, 60}, {4, 70, 60}, {5, 80, 100}} {
+		g1, g2 := procgenGraphs(t, size.seed, size.activities, size.traces)
 		for _, cached := range []bool{true, false} {
 			// Tiled is deprecated and ignored; the kernel must follow the
 			// definition whether or not a caller still sets it.
 			for _, tiled := range []bool{false, true} {
 				for _, workers := range []int{1, 2} {
-					name := fmt.Sprintf("n=%d/cached=%v/tiled=%v/workers=%d", size.activities, cached, tiled, workers)
-					t.Run(name, func(t *testing.T) {
-						if !cached {
-							old := agreeCacheLimit
-							agreeCacheLimit = 0
-							defer func() { agreeCacheLimit = old }()
+					for _, ka := range kernelAxis {
+						name := fmt.Sprintf("n=%d/cached=%v/tiled=%v/workers=%d%s", size.activities, cached, tiled, workers, ka.suffix)
+						if size.traces != 60 {
+							name = fmt.Sprintf("n=%d/traces=%d/cached=%v/tiled=%v/workers=%d%s", size.activities, size.traces, cached, tiled, workers, ka.suffix)
 						}
-						cfg := DefaultConfig()
-						cfg.Prune = false
-						cfg.Tiled = tiled
-						cfg.Workers = workers
-						c, err := NewComputation(g1, g2, cfg, nil)
-						if err != nil {
-							t.Fatal(err)
-						}
-						rng := rand.New(rand.NewSource(size.seed))
-						for _, e := range c.engines() {
-							checkKernel(t, e, rng, cached, workers)
-						}
-					})
+						t.Run(name, func(t *testing.T) {
+							if !cached {
+								old := agreeCacheLimit
+								agreeCacheLimit = 0
+								defer func() { agreeCacheLimit = old }()
+							}
+							forceKernel(t, ka.k)
+							cfg := DefaultConfig()
+							cfg.Prune = false
+							cfg.Tiled = tiled
+							cfg.Workers = workers
+							c, err := NewComputation(g1, g2, cfg, nil)
+							if err != nil {
+								t.Fatal(err)
+							}
+							rng := rand.New(rand.NewSource(size.seed))
+							for _, e := range c.engines() {
+								checkKernel(t, e, rng, cached, workers)
+								want := ka.k
+								if !cached || want == kernelRule && size.traces == 60 {
+									want = kernelClassic
+								} else if want == kernelRule {
+									want = kernelFactored
+								}
+								if e.kernel != want {
+									t.Fatalf("engine ran kernel %d, want %d", e.kernel, want)
+								}
+							}
+						})
+					}
 				}
 			}
 		}
@@ -143,6 +180,46 @@ func checkKernel(t *testing.T, e *dirEngine, rng *rand.Rand, cached bool, worker
 			want := e.cfg.Alpha*(want12+want21)/2 + (1-e.cfg.Alpha)*e.lab[v1*e.n2+v2]
 			if got := e.cur[v1*e.n2+v2]; !same(got, want) {
 				t.Fatalf("(%d,%d): round wrote %x, definition gives %x", v1, v2, got, want)
+			}
+		}
+	}
+}
+
+// TestEstimationCoefficientsMatchDefinition requires the (a, q) of formula
+// (2) to equal, bit for bit, their definition with the artificial in-edges
+// looked up in the graphs' frequency maps, for every real pair of both
+// direction engines, with and without the label part.
+func TestEstimationCoefficientsMatchDefinition(t *testing.T) {
+	g1, g2 := procgenGraphs(t, 5, 80, 100)
+	for _, alpha := range []float64{1, 0.7} {
+		cfg := DefaultConfig()
+		cfg.Alpha = alpha
+		cfg.Labels = testLabelSim
+		c, err := NewComputation(g1, g2, cfg, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, e := range c.engines() {
+			for v1 := 1; v1 < e.n1; v1++ {
+				for v2 := 1; v2 < e.n2; v2++ {
+					A, B := float64(len(e.g1.Pre[v1])), float64(len(e.g2.Pre[v2]))
+					lab := (1 - alpha) * e.lab[v1*e.n2+v2]
+					wantA, wantQ := lab, 0.0
+					if A > 0 && B > 0 {
+						wantQ = alpha * e.cfg.C * (2*A*B - A - B) / (2 * A * B)
+						var cx float64
+						_, ok1 := e.g1.Freq(0, v1)
+						_, ok2 := e.g2.Freq(0, v2)
+						if ok1 && ok2 {
+							cx = e.edgeAgreement(0, v1, 0, v2)
+						}
+						wantA = alpha*(A+B)/(2*A*B)*cx + lab
+					}
+					a, q := e.estimationCoefficients(v1, v2)
+					if math.Float64bits(a) != math.Float64bits(wantA) || math.Float64bits(q) != math.Float64bits(wantQ) {
+						t.Fatalf("alpha=%g (%d,%d): (a, q) = (%x, %x), definition gives (%x, %x)", alpha, v1, v2, a, q, wantA, wantQ)
+					}
+				}
 			}
 		}
 	}
